@@ -242,14 +242,17 @@ def _find_bijection(r1: StepGraphon, r2: StepGraphon) -> tuple[int, ...] | None:
 
 
 def weak_iso(h1: StepGraphon, h2: StepGraphon) -> WeakIsoVerdict:
-    """Decide weak isomorphism by exact matching of twin-free reduced forms.
+    """Decide weak isomorphism by exact matching of twin-free reduced forms."""
+    return _match_reduced(twin_reduce(h1), twin_reduce(h2))
+
+
+def _match_reduced(r1: StepGraphon, r2: StepGraphon) -> WeakIsoVerdict:
+    """Match two twin-free reduced forms.
 
     Cheap invariants run first so the witness is as small as possible:
     block count, weight multiset, value multiset, then the backtracking
     search for a weight- and value-preserving block bijection.
     """
-    r1 = twin_reduce(h1)
-    r2 = twin_reduce(h2)
     if r1.block_count != r2.block_count:
         return WeakIsoVerdict(
             False,
@@ -310,11 +313,11 @@ def common_quotient(
     row behavior: values_H(i,j) = values_U(map(i), map(j)). None when the
     graphons are not weakly isomorphic.
     """
-    verdict = weak_iso(h1, h2)
+    u, map1 = _twin_reduce_with_map(h1)
+    r2, map2_raw = _twin_reduce_with_map(h2)
+    verdict = _match_reduced(u, r2)
     if not verdict.isomorphic:
         return None
-    u, map1 = _twin_reduce_with_map(h1)
-    _, map2_raw = _twin_reduce_with_map(h2)
     assert verdict.bijection is not None
     inverse = {j: i for i, j in enumerate(verdict.bijection)}
     map2 = {orig: inverse[cls] for orig, cls in map2_raw.items()}

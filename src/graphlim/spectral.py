@@ -18,8 +18,6 @@ from .density import MAX_MOTIF_NODES, anchored_density, density_exact
 from .graphons import StepGraphon
 from .graphs import LabeledMultigraph, subdivide_edge
 
-JACOBI_TOL = 1e-12
-JACOBI_SWEEPS = 50
 SYMMETRY_TOL = 1e-14
 GROUP_TOL = 1e-9
 
@@ -44,15 +42,11 @@ class Spectrum:
     residual: float
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    return math.sqrt(np.sum(a * a) - np.sum(np.diag(a) ** 2))
+def eigendecompose(matrix: np.ndarray) -> Spectrum:
+    """Eigenpairs of a symmetric matrix from LAPACK (numpy.linalg.eigh).
 
-
-def eigendecompose(matrix: np.ndarray, tol: float = JACOBI_TOL) -> Spectrum:
-    """Cyclic Jacobi rotations until the off-diagonal norm drops below tol.
-
-    At most 50 sweeps; failure to converge raises with the residual. The
-    input must be symmetric to within 1e-14.
+    The input must be symmetric to within 1e-14. The residual is the
+    Frobenius norm of M V - V diag(eigenvalues).
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -60,49 +54,17 @@ def eigendecompose(matrix: np.ndarray, tol: float = JACOBI_TOL) -> Spectrum:
     asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
     if asym > SYMMETRY_TOL:
         raise ValueError(f"matrix not symmetric: max |M - M^T| entry is {asym:.3e}")
-    n = a.shape[0]
-    v = np.eye(n)
-    residual = _offdiag_norm(a)
-    for _ in range(JACOBI_SWEEPS):
-        if residual < tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-        residual = _offdiag_norm(a)
-    if residual >= tol:
-        raise RuntimeError(
-            f"Jacobi iteration left off-diagonal residual {residual:.3e} "
-            f"after {JACOBI_SWEEPS} sweeps (tol {tol:.1e})"
-        )
-    diag = np.diag(a).copy()
-    order = sorted(range(n), key=lambda i: (-abs(diag[i]), -diag[i]))
-    vectors = v[:, order]
-    for k in range(n):
+    evals, evecs = np.linalg.eigh(a)
+    order = sorted(range(len(evals)), key=lambda i: (-abs(evals[i]), -evals[i]))
+    vectors = evecs[:, order]
+    for k in range(len(order)):
         col = vectors[:, k]
         lead = int(np.argmax(np.abs(col)))
         if col[lead] < 0:
             vectors[:, k] = -col
-    return Spectrum(tuple(float(diag[i]) for i in order), vectors, residual)
+    eigenvalues = evals[order]
+    residual = float(np.linalg.norm(a @ vectors - vectors * eigenvalues))
+    return Spectrum(tuple(float(x) for x in eigenvalues), vectors, residual)
 
 
 def cycle_density_spectral(graphon: StepGraphon, k: int) -> float:
@@ -224,7 +186,7 @@ def _group_eigenvalues(
     """Cluster eigenvalues within 1e-9 and sum coefficients per cluster.
 
     Float grouping is a numerical convention: exact equality of
-    eigenvalues is not decidable from the Jacobi output.
+    eigenvalues is not decidable from floating-point eigenvalues.
     """
     tagged = [(ev, coeff, 0) for ev, coeff in pairs_a]
     tagged += [(ev, coeff, 1) for ev, coeff in pairs_b]

@@ -93,6 +93,30 @@ def test_spectrum_golden(files, capsys):
     assert capsys.readouterr().out == "0.500000000000\n-0.500000000000\n"
 
 
+# two valid 4-block graphons on which a Jacobi rotation solver failed, with a
+# math domain error and with no convergence after 50 sweeps
+SPECTRUM_HARD = [
+    {
+        "weights": ["1/3", "1/3", "2/15", "1/5"],
+        "values": [["1", "1/7", "0", "1"], ["1/7", "4/7", "3/7", "3/7"],
+                   ["0", "3/7", "1", "1"], ["1", "3/7", "1", "6/7"]],
+    },
+    {
+        "weights": ["1/2", "1/10", "3/10", "1/10"],
+        "values": [["1", "1", "1", "6/7"], ["1", "3/7", "1/7", "1"],
+                   ["1", "1/7", "0", "6/7"], ["6/7", "1", "6/7", "6/7"]],
+    },
+]
+
+
+@pytest.mark.parametrize("graphon", SPECTRUM_HARD)
+def test_spectrum_on_hard_graphons(graphon, tmp_path, capsys):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(graphon))
+    assert run(["spectrum", str(path)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+
+
 def test_weak_iso_isomorphic(files, capsys):
     blown = files["dir"] / "blown.json"
     run(["blowup", files["b.json"], "--k", "2", "-o", str(blown)])

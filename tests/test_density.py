@@ -75,12 +75,31 @@ def test_density_graph_rejects_bad_hosts():
         density_graph(complete_graph(9), K3)  # over the node limit
 
 
+@pytest.mark.parametrize("n", [200, 240])  # 200^8 < 2^63 < 240^8
+def test_density_graph_closed_form_on_both_integer_widths(n):
+    assert density_graph(path_graph(8), complete_graph(n)).exact == F(
+        n * (n - 1) ** 7, n**8
+    )
+
+
+# the scaled entry is 10006: K4 with two doubled edges needs 10006^8 > 2^63,
+# C4 needs 10006^4 < 2^63
+@pytest.mark.parametrize(
+    "motif",
+    [multigraph(4, [(0, 1, 2), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3, 2)]), C4],
+)
+def test_density_exact_closed_form_on_both_integer_widths(motif):
+    p = F(10006, 10007)
+    got = density_exact(motif, constant(p)).exact
+    assert got == p**motif.total_multiplicity
+
+
 def test_multiplicities_collapse_against_simple_hosts():
     # against a 0/1 host only the support matters
     assert density_graph(DOUBLE, K3).exact == density_graph(K2, K3).exact
 
 
-@given(multigraphs(max_nodes=4), step_graphons(max_blocks=3))
+@given(multigraphs(max_nodes=5), step_graphons(max_blocks=3))
 @settings(max_examples=80, deadline=None)
 def test_density_exact_matches_brute_force(motif, graphon):
     assert density_exact(motif, graphon).exact == brute_density_exact(motif, graphon)
@@ -111,7 +130,7 @@ def test_anchored_density_validation():
         anchored_density(e1, B, {1: 5})
 
 
-@given(multigraphs(max_nodes=4, max_labels=2), step_graphons(max_blocks=3))
+@given(multigraphs(max_nodes=5, max_labels=3), step_graphons(max_blocks=3))
 @settings(max_examples=60, deadline=None)
 def test_anchored_density_matches_brute_force(motif, graphon):
     labels = sorted(motif.label_set)

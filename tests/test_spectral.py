@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from graphlim import (
     anchored_density,
@@ -19,6 +20,8 @@ from graphlim import (
     step_graphon,
 )
 from graphlim.corpus import cycle_graph, graphon_corpus
+
+from conftest import step_graphons
 
 B = step_graphon(["1/2", "1/2"], [["0", "1"], ["1", "0"]])
 
@@ -58,6 +61,16 @@ def test_eigendecompose_reconstruction_and_orthonormality():
         rebuilt = v @ np.diag(s.eigenvalues) @ v.T
         assert np.max(np.abs(rebuilt - m)) < 1e-10, name
         assert s.residual < 1e-12
+
+
+@given(step_graphons(max_blocks=8))
+@settings(max_examples=100, deadline=None)
+def test_eigendecompose_on_random_graphons(graphon):
+    m = kernel_matrix(graphon)
+    s = eigendecompose(m)
+    assert sorted(s.eigenvalues) == pytest.approx(np.linalg.eigvalsh(m), abs=1e-11)
+    rebuilt = s.eigenvectors @ np.diag(s.eigenvalues) @ s.eigenvectors.T
+    assert np.max(np.abs(rebuilt - m)) < 1e-10
 
 
 def test_eigendecompose_sign_convention_is_stable():
