@@ -36,6 +36,7 @@ from .streams import DOMAIN_MC_COORDS, philox_stream
 
 MAX_MOTIF_NODES = 8
 MAX_EXACT_BLOCKS = 64
+_FSUM_CHUNK = 1 << 16
 
 AnchorAssignment = Mapping[int, int]
 
@@ -200,6 +201,15 @@ def _hom_sum(
 # -- exact evaluation in a finite graph --------------------------------------
 
 
+def adjacency_density(motif: LabeledMultigraph, adjacency: np.ndarray) -> Fraction:
+    """hom(F,G) / n^|V(F)| for the symmetric 0/1 adjacency matrix of a
+    simple n-node host G; only the support of the motif F counts."""
+    n = len(adjacency)
+    support = [(u, v, 1) for u, v, _ in motif.edges]
+    hom = _hom_sum(motif.node_count, support, adjacency, [1] * n, {})
+    return Fraction(hom, n**motif.node_count)
+
+
 def density_graph(
     motif: LabeledMultigraph,
     graph: LabeledMultigraph,
@@ -216,24 +226,13 @@ def density_graph(
         raise ValueError("host graph must be simple and unlabeled")
     _check_size(motif, node_limit)
     n = graph.node_count
-    upper = np.zeros(n * n, dtype=np.int64)
+    upper = np.zeros(n * n, dtype=np.uint8)
     upper[[u * n + v for u, v, _ in graph.edges]] = 1
     upper = upper.reshape(n, n)
-    adjacency = upper + upper.T
-    support = [(u, v, 1) for u, v, _ in motif.edges]
-    hom = _hom_sum(motif.node_count, support, adjacency, [1] * n, {})
-    return DensityValue.from_exact(Fraction(hom, n**motif.node_count))
+    return DensityValue.from_exact(adjacency_density(motif, upper + upper.T))
 
 
 # -- exact evaluation in a step graphon --------------------------------------
-
-
-def _scaled_tables(graphon: StepGraphon) -> tuple[int, list[int], int, list[list[int]]]:
-    r = math.lcm(*(w.denominator for w in graphon.weights))
-    nw = [int(w * r) for w in graphon.weights]
-    q = math.lcm(*(v.denominator for row in graphon.values for v in row))
-    nv = [[int(v * q) for v in row] for row in graphon.values]
-    return r, nw, q, nv
 
 
 def _check_blocks(graphon: StepGraphon) -> None:
@@ -246,8 +245,8 @@ def _check_blocks(graphon: StepGraphon) -> None:
 def _graphon_density(
     motif: LabeledMultigraph, graphon: StepGraphon, pinned: Mapping[int, int]
 ) -> DensityValue:
-    r, nw, q, nv = _scaled_tables(graphon)
-    total = _hom_sum(motif.node_count, motif.edges, np.array(nv, dtype=object), nw, pinned)
+    r, nw, q, nv = graphon.integer_tables
+    total = _hom_sum(motif.node_count, motif.edges, nv, nw, pinned)
     scale = r ** (motif.node_count - len(pinned)) * q**motif.total_multiplicity
     return DensityValue.from_exact(Fraction(total, scale))
 
@@ -344,6 +343,16 @@ def _vectorized(kernel: BlackBoxKernel) -> bool:
     return out.shape == probe.shape
 
 
+def _fsum(values: np.ndarray) -> float:
+    """math.fsum of a float array, fed as Python floats one chunk at a time
+    so that no list of a million floats is ever built."""
+    return math.fsum(
+        itertools.chain.from_iterable(
+            values[i : i + _FSUM_CHUNK].tolist() for i in range(0, len(values), _FSUM_CHUNK)
+        )
+    )
+
+
 def density_mc(
     motif: LabeledMultigraph,
     kernel: BlackBoxKernel,
@@ -379,8 +388,8 @@ def density_mc(
                 if acc == 0.0:
                     break
             values[s] = acc
-    mean = math.fsum(values) / samples
-    var = math.fsum((x - mean) ** 2 for x in values) / (samples - 1)
+    mean = _fsum(values) / samples
+    var = _fsum((values - mean) ** 2) / (samples - 1)
     stderr = math.sqrt(var / samples)
     return DensityValue.from_estimate(mean, stderr, samples)
 

@@ -10,8 +10,10 @@ nothing exact.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -35,6 +37,18 @@ class StepGraphon:
     @property
     def block_count(self) -> int:
         return len(self.weights)
+
+    @cached_property
+    def integer_tables(self) -> tuple[int, tuple[int, ...], int, np.ndarray]:
+        """(r, r * weights, q, q * values) with r and q the least common
+        denominators of the weights and of the values, computed once per
+        graphon. The value table is a read-only object array of Python ints.
+        """
+        r = math.lcm(*(w.denominator for w in self.weights))
+        q = math.lcm(*(v.denominator for row in self.values for v in row))
+        values = np.array([[int(v * q) for v in row] for row in self.values], dtype=object)
+        values.flags.writeable = False
+        return r, tuple(int(w * r) for w in self.weights), q, values
 
     def cumulative(self) -> tuple[Fraction, ...]:
         """Block boundaries 0 = c_0 <= c_1 <= ... <= c_B = 1."""

@@ -6,19 +6,25 @@ not sequential: the pair (i, j), i < j, always consumes variate
 j*(j-1)/2 + i of its stream, and vertex i always consumes variate i, so
 the graph on n nodes is an induced subgraph of the graph on n' > n nodes
 drawn from the same seed. The convergence experiment leans on that
-nesting: one child seed per replication reused across all sizes.
+nesting: it draws each replication once, at the largest size, and reads
+every size as the leading block of that one adjacency matrix.
+
+A sample stays an n x n uint8 adjacency matrix until a graph object is
+needed: `sample_wrandom` builds one, the convergence experiment counts
+homomorphisms on the matrix directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
-from .density import density_exact, density_graph
+from .density import adjacency_density, density_exact
 from .graphons import StepGraphon
-from .graphs import LabeledMultigraph, connected_node_sets, multigraph
+from .graphs import LabeledMultigraph, connected_node_sets
 from .rational import format_float
 from .streams import (
     DOMAIN_CHILD_SEEDS,
@@ -32,12 +38,8 @@ from .streams import (
 )
 
 
-def sample_wrandom(graphon: StepGraphon, n: int, seed: int) -> LabeledMultigraph:
-    """Simple graph on n nodes with independent edges of block-pair probability.
-
-    Deterministic per (graphon, n, seed); growing n extends the sample
-    instead of reshuffling it.
-    """
+def _sample_adjacency(graphon: StepGraphon, n: int, seed: int) -> np.ndarray:
+    """Symmetric n x n uint8 adjacency of the W-random graph of (n, seed)."""
     if n < 1:
         raise ValueError("n must be at least 1")
     for row in graphon.values:
@@ -49,9 +51,9 @@ def sample_wrandom(graphon: StepGraphon, n: int, seed: int) -> LabeledMultigraph
         weight_thresholds(graphon.weights),
         n,
     )
+    adjacency = np.zeros((n, n), dtype=np.uint8)
     if n == 1:
-        return multigraph(1, [])
-    b = graphon.block_count
+        return adjacency
     thresh = np.array(
         [[probability_threshold(v) for v in row] for row in graphon.values],
         dtype=np.uint64,
@@ -63,8 +65,19 @@ def sample_wrandom(graphon: StepGraphon, n: int, seed: int) -> LabeledMultigraph
     j_idx = np.repeat(np.arange(1, n), np.arange(1, n))
     i_idx = np.arange(total) - (j_idx * (j_idx - 1)) // 2
     keep = coins < thresh[blocks[i_idx], blocks[j_idx]]
-    edges = [(int(i), int(j), 1) for i, j in zip(i_idx[keep], j_idx[keep])]
-    return multigraph(n, edges)
+    rows, cols = i_idx[keep], j_idx[keep]
+    adjacency[rows, cols] = adjacency[cols, rows] = 1
+    return adjacency
+
+
+def sample_wrandom(graphon: StepGraphon, n: int, seed: int) -> LabeledMultigraph:
+    """Simple graph on n nodes with independent edges of block-pair probability.
+
+    Deterministic per (graphon, n, seed); growing n extends the sample
+    instead of reshuffling it.
+    """
+    rows, cols = np.nonzero(np.triu(_sample_adjacency(graphon, n, seed), 1))
+    return LabeledMultigraph(n, tuple(zip(rows.tolist(), cols.tolist(), repeat(1))))
 
 
 @dataclass(frozen=True)
@@ -114,8 +127,10 @@ def convergence_experiment(
 ) -> ConvergenceReport:
     """Median and max |t(F, G_n) - t(F, H)| over reps samples per size.
 
-    Replication r uses one child seed at every size, so its samples form
-    a nested family: a replication's errors at different sizes are
+    Replication r is drawn once, from one child seed, at max(sizes), and
+    size n reads the leading n x n block of that adjacency, which is the
+    n-node sample of the same seed. Its samples therefore form a nested
+    family: a replication's errors at different sizes are
     correlated rather than resampled independently. The errors shrink in
     expectation (for K2 on the bipartite kernel the mean error is exactly
     1/(2n)), but neither a replication's error nor the median is promised
@@ -138,16 +153,17 @@ def convergence_experiment(
             0, RESOLUTION, size=reps, dtype=np.uint64
         )
     ]
-    stats = []
-    for n in sizes:
-        errs = []
-        for child in child_seeds:
-            sample = sample_wrandom(graphon, n, child)
-            value = density_graph(motif, sample).exact
-            assert value is not None
-            errs.append(abs(value - target))
-        stats.append(SizeStats(n, reps, _exact_median(errs), max(errs)))
-    return ConvergenceReport(motif, target, tuple(stats))
+    errs: list[list[Fraction]] = [[] for _ in sizes]
+    top = max(sizes)
+    for child in child_seeds:
+        adjacency = _sample_adjacency(graphon, top, child)
+        for errs_at, n in zip(errs, sizes):
+            errs_at.append(abs(adjacency_density(motif, adjacency[:n, :n]) - target))
+    stats = tuple(
+        SizeStats(n, reps, _exact_median(errs_at), max(errs_at))
+        for n, errs_at in zip(sizes, errs)
+    )
+    return ConvergenceReport(motif, target, stats)
 
 
 def describe_graph(graph: LabeledMultigraph) -> str:

@@ -119,3 +119,15 @@ def test_corpus_members_valid():
     for name, H in graphon_corpus().items():
         validate(H)
         assert sum(H.weights) == 1, name
+
+
+def test_integer_tables_cached_outside_equality():
+    h = step_graphon(["1/3", "2/3"], [["1/2", "1/4"], ["1/4", "1"]])
+    r, weights, q, values = h.integer_tables
+    assert (r, weights, q) == (3, (1, 2), 4)
+    assert values.tolist() == [[2, 1], [1, 4]]
+    assert h.integer_tables is h.integer_tables
+    with pytest.raises(ValueError, match="read-only"):
+        values[0, 0] = 7
+    fresh = step_graphon(["1/3", "2/3"], [["1/2", "1/4"], ["1/4", "1"]])
+    assert fresh == h and hash(fresh) == hash(h)

@@ -1,7 +1,11 @@
+import hashlib
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphlim import (
     ConvergenceReport,
@@ -24,7 +28,11 @@ from graphlim.corpus import (
     path_graph,
     star_graph,
 )
+from graphlim.graphs import serialize_graph
 from graphlim.sampling import _exact_median
+from graphlim.streams import DOMAIN_CHILD_SEEDS, RESOLUTION, philox_stream
+
+from conftest import step_graphons
 
 B = step_graphon(["1/2", "1/2"], [["0", "1"], ["1", "0"]])
 K2 = complete_graph(2)
@@ -153,3 +161,70 @@ def test_blowup_samples_share_distribution():
     d1 = float(density_graph(K2, g1).exact)
     d2 = float(density_graph(K2, g2).exact)
     assert abs(d1 - d2) < 0.1
+
+
+def _redrawn_convergence(graphon, motif, sizes, reps, seed):
+    """convergence_experiment with every size drawn afresh as a graph."""
+    target = density_exact(motif, graphon).exact
+    children = philox_stream(seed, DOMAIN_CHILD_SEEDS).integers(
+        0, RESOLUTION, size=reps, dtype=np.uint64
+    )
+    stats = []
+    for n in sizes:
+        errs = [
+            abs(density_graph(motif, sample_wrandom(graphon, n, int(c))).exact - target)
+            for c in children
+        ]
+        stats.append(SizeStats(n, reps, _exact_median(errs), max(errs)))
+    return ConvergenceReport(motif, target, tuple(stats))
+
+
+MOTIFS = [complete_graph(2), path_graph(3), complete_graph(3), cycle_graph(4)]
+
+
+@given(
+    step_graphons(max_blocks=8),
+    st.integers(1, 30),
+    st.integers(0, 30),
+    st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_smaller_sample_is_the_induced_prefix(graphon, n, extra, seed):
+    small = sample_wrandom(graphon, n, seed)
+    big = sample_wrandom(graphon, n + extra, seed)
+    assert small.node_count == n
+    assert small.edges == tuple(e for e in big.edges if e[1] < n)
+
+
+@given(
+    step_graphons(max_blocks=8),
+    st.sampled_from(MOTIFS),
+    st.lists(st.integers(4, 24), min_size=1, max_size=4),
+    st.integers(1, 4),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=40, deadline=None)
+def test_convergence_matches_fresh_draws_per_size(graphon, motif, sizes, reps, seed):
+    expected = _redrawn_convergence(graphon, motif, sizes, reps, seed)
+    assert convergence_experiment(graphon, motif, sizes, reps, seed) == expected
+
+
+def test_convergence_keeps_unsorted_and_repeated_sizes():
+    sizes = [40, 20, 40, 7, 20]
+    r = convergence_experiment(B, path_graph(3), sizes, 5, 11)
+    assert [s.n for s in r.stats] == sizes
+    assert r.stats[0] == r.stats[2] and r.stats[1] == r.stats[4]
+    assert r == _redrawn_convergence(B, path_graph(3), sizes, 5, 11)
+    assert r.stats[3] == convergence_experiment(B, path_graph(3), [7], 5, 11).stats[0]
+
+
+def test_sample_golden():
+    h = step_graphon(
+        ["1/6", "1/3", "1/2"],
+        [["1/7", "6/7", "0"], ["6/7", "1/2", "2/5"], ["0", "2/5", "1"]],
+    )
+    text = serialize_graph(sample_wrandom(h, 300, 20261018))
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "e2e51e146b6ff440a28215e508de68c4c5f2872eafaf384accae2572ab6e98f6"
+    )
