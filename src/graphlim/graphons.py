@@ -44,11 +44,14 @@ class StepGraphon:
         denominators of the weights and of the values, computed once per
         graphon. The value table is a read-only object array of Python ints.
         """
-        r = math.lcm(*(w.denominator for w in self.weights))
-        q = math.lcm(*(v.denominator for row in self.values for v in row))
-        values = np.array([[int(v * q) for v in row] for row in self.values], dtype=object)
+        r = math.lcm(*{w.denominator for w in self.weights})
+        q = math.lcm(*{v.denominator for row in self.values for v in row})
+        values = np.array(
+            [[v.numerator * (q // v.denominator) for v in row] for row in self.values],
+            dtype=object,
+        )
         values.flags.writeable = False
-        return r, tuple(int(w * r) for w in self.weights), q, values
+        return r, tuple(w.numerator * (r // w.denominator) for w in self.weights), q, values
 
     def cumulative(self) -> tuple[Fraction, ...]:
         """Block boundaries 0 = c_0 <= c_1 <= ... <= c_B = 1."""
@@ -63,9 +66,25 @@ def step_graphon(
     values: Sequence[Sequence[RationalLike]],
     value_range: tuple[RationalLike, RationalLike] | None = None,
 ) -> StepGraphon:
-    """Coerce loose rational data (ints, "p/q" strings) into a StepGraphon."""
-    w = tuple(parse_rational(x) for x in weights)
-    v = tuple(tuple(parse_rational(x) for x in row) for row in values)
+    """Coerce loose rational data (ints, "p/q" strings) into a StepGraphon.
+
+    Each distinct token is parsed once; the memo is keyed by type as well, so
+    True is still rejected after an equal 1 has been accepted.
+    """
+    memo: dict[tuple[type, object], Fraction] = {}
+
+    def parse(x: RationalLike) -> Fraction:
+        key = (type(x), x)
+        try:
+            return memo[key]
+        except KeyError:
+            memo[key] = value = parse_rational(x)
+            return value
+        except TypeError:  # unhashable, hence not a rational either
+            return parse_rational(x)
+
+    w = tuple(parse(x) for x in weights)
+    v = tuple(tuple(parse(x) for x in row) for row in values)
     if value_range is None:
         rng = DEFAULT_RANGE
     else:
@@ -74,7 +93,12 @@ def step_graphon(
 
 
 def validate(graphon: StepGraphon) -> None:
-    """Exact invariant check; raises ValueError with a distinct message per rule."""
+    """Exact invariant check; raises ValueError with a distinct message per rule.
+
+    Symmetry and range are checked on the cached integer value table; only
+    a failing check rescans the values, in row-major order, to name the first
+    offending entry.
+    """
     w, v = graphon.weights, graphon.values
     lo, hi = graphon.value_range
     if lo > hi:
@@ -88,14 +112,17 @@ def validate(graphon: StepGraphon) -> None:
     b = len(w)
     if len(v) != b or any(len(row) != b for row in v):
         raise ValueError(f"values must be a {b}x{b} matrix")
-    for i in range(b):
-        for j in range(i + 1, b):
-            if v[i][j] != v[j][i]:
-                raise ValueError(f"values asymmetric at ({i},{j})")
-    for i in range(b):
-        for j in range(b):
-            if not lo <= v[i][j] <= hi:
-                raise ValueError(f"value {v[i][j]} at ({i},{j}) outside range [{lo}, {hi}]")
+    _, _, q, nv = graphon.integer_tables
+    if not (nv == nv.T).all():
+        for i in range(b):
+            for j in range(i + 1, b):
+                if v[i][j] != v[j][i]:
+                    raise ValueError(f"values asymmetric at ({i},{j})")
+    if not (lo * q <= nv.min() and nv.max() <= hi * q):
+        for i in range(b):
+            for j in range(b):
+                if not lo <= v[i][j] <= hi:
+                    raise ValueError(f"value {v[i][j]} at ({i},{j}) outside range [{lo}, {hi}]")
 
 
 def from_graph(graph: LabeledMultigraph) -> StepGraphon:

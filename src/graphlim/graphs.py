@@ -398,11 +398,14 @@ def _refine_colors(n: int, adj: list[int]) -> list[int]:
 
 
 def _canonical_code(n: int, adj: list[int]) -> tuple[int, ...]:
-    """Maximal sequence of row prefixes over color-respecting orders.
+    """Maximal sequence of row prefixes over all node orders.
 
     Entry d encodes adjacency of the d-th placed node to nodes placed
     before it, as a d-bit integer; maximizing the sequence lexicographically
-    gives a canonical form. Exponential in the worst case, fine below 8 nodes.
+    gives a canonical form. Among the orders that extend one prefix, only
+    those placing a node of the largest next code can reach the maximum, so
+    the search branches on those nodes alone. Exponential in the worst case,
+    fine below 8 nodes.
     """
     colors = _refine_colors(n, adj)
     best: list[int] | None = None
@@ -417,22 +420,27 @@ def _canonical_code(n: int, adj: list[int]) -> tuple[int, ...]:
             if best is None or prefix > best:
                 best = list(prefix)
             return
-        # color order is a heuristic only; pruning below carries correctness.
-        for x in sorted((x for x in range(n) if not in_placed[x]), key=colors.__getitem__):
-            code = 0
-            for i, y in enumerate(placed):
-                if adj[x] >> y & 1:
-                    code |= 1 << i
-            # invariant: prefix >= best[:d]; prune only on a tight prefix
-            if best is not None and code < best[d] and prefix == best[:d]:
-                continue
+        codes = {}
+        for x in range(n):
+            if not in_placed[x]:
+                code = 0
+                for i, y in enumerate(placed):
+                    if adj[x] >> y & 1:
+                        code |= 1 << i
+                codes[x] = code
+        top = max(codes.values())
+        # invariant: prefix >= best[:d]; prune only on a tight prefix
+        if best is not None and top < best[d] and prefix == best[:d]:
+            return
+        prefix.append(top)
+        # color order is a heuristic only; the pruning carries correctness
+        for x in sorted((x for x, c in codes.items() if c == top), key=colors.__getitem__):
             placed.append(x)
-            prefix.append(code)
             in_placed[x] = True
             rec()
             in_placed[x] = False
-            prefix.pop()
             placed.pop()
+        prefix.pop()
 
     rec()
     assert best is not None

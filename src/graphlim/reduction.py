@@ -4,15 +4,23 @@ Two blocks are twins when their value rows agree on every column of positive
 weight. Quotienting by the twin partition (after discarding weightless
 blocks) is density preserving, and exact matching of the twin-free reduced
 forms decides weak isomorphism for step graphons. Couplings between weakly
-isomorphic graphons are built from the shared reduced form.
+isomorphic graphons are built from the shared reduced form, class by class.
+
+All of it computes on the integer tables of StepGraphon.integer_tables: the
+weights and values as Python ints over their least common denominators, and
+two graphons are compared at the lcm of their scales. Fractions are built
+only for the results.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from .density import density_exact
 from .graphons import StepGraphon
@@ -80,11 +88,18 @@ def parse_partition(text: str, block_count: int) -> BlockPartition:
     return BlockPartition(tuple(class_of[b] for b in range(block_count)))
 
 
+def _row_keys(
+    graphon: StepGraphon, rows: Sequence[int], cols: Sequence[int]
+) -> list[tuple[int, ...]]:
+    """Integer value rows restricted to cols: equal keys mean equal rows."""
+    table = graphon.integer_tables[3].tolist()
+    return [tuple(table[i][j] for j in cols) for i in rows]
+
+
 def twin_partition(graphon: StepGraphon) -> BlockPartition:
     """Group blocks whose rows agree on all positive-weight columns."""
-    positive = [j for j, w in enumerate(graphon.weights) if w > 0]
-    keys = [tuple(row[j] for j in positive) for row in graphon.values]
-    return BlockPartition.from_keys(keys)
+    positive = [j for j, w in enumerate(graphon.integer_tables[1]) if w > 0]
+    return BlockPartition.from_keys(_row_keys(graphon, range(graphon.block_count), positive))
 
 
 def quotient(graphon: StepGraphon, partition: BlockPartition) -> StepGraphon:
@@ -96,37 +111,35 @@ def quotient(graphon: StepGraphon, partition: BlockPartition) -> StepGraphon:
     """
     if len(partition.class_of) != graphon.block_count:
         raise ValueError("partition size does not match block count")
-    c = partition.class_count
-    class_weight = [Fraction(0)] * c
+    nw = graphon.integer_tables[1]
+    members: list[list[int]] = [[] for _ in range(partition.class_count)]
     for b, cid in enumerate(partition.class_of):
-        class_weight[cid] += graphon.weights[b]
-    keep = [cid for cid in range(c) if class_weight[cid] > 0]
-    index = {cid: k for k, cid in enumerate(keep)}
-    weights = tuple(class_weight[cid] for cid in keep)
-    raw = [[Fraction(0)] * len(keep) for _ in keep]
-    for i, wi in enumerate(graphon.weights):
-        if wi == 0:
-            continue
-        ci = index[partition.class_of[i]]
-        row = graphon.values[i]
-        for j, wj in enumerate(graphon.weights):
-            if wj == 0:
-                continue
-            raw[ci][index[partition.class_of[j]]] += wi * wj * row[j]
+        if nw[b] > 0:
+            members[cid].append(b)
+    return _merge_classes(graphon, [m for m in members if m])
+
+
+def _merge_classes(graphon: StepGraphon, classes: list[list[int]]) -> StepGraphon:
+    """Quotient onto the given classes of positive-weight blocks, in order.
+
+    With integer weights nw at scale r and values nv at scale q, the class
+    pair (S, T) gets weight W_S / r and value
+    sum(nw_i nw_j nv_ij for i in S, j in T) / (q W_S W_T).
+    """
+    r, nw, q, nv = graphon.integer_tables
+    order = [b for cls in classes for b in cls]
+    starts = np.cumsum([0] + [len(cls) for cls in classes[:-1]])
+    scaled = np.array([nw[b] for b in order], dtype=object)
+    cells = scaled[:, None] * nv[np.ix_(order, order)] * scaled[None, :]
+    raw = np.add.reduceat(np.add.reduceat(cells, starts, axis=0), starts, axis=1).tolist()
+    del cells
+    class_weight = [sum(nw[b] for b in cls) for cls in classes]
+    weights = tuple(Fraction(x, r) for x in class_weight)
     values = tuple(
-        tuple(raw[s][t] / (weights[s] * weights[t]) for t in range(len(keep)))
-        for s in range(len(keep))
+        tuple(Fraction(x, q * ws * wt) for x, wt in zip(row, class_weight))
+        for row, ws in zip(raw, class_weight)
     )
     return StepGraphon(weights, values, graphon.value_range)
-
-
-def _drop_zero_weight(graphon: StepGraphon) -> tuple[StepGraphon, list[int]]:
-    kept = [b for b, w in enumerate(graphon.weights) if w > 0]
-    if len(kept) == graphon.block_count:
-        return graphon, kept
-    weights = tuple(graphon.weights[b] for b in kept)
-    values = tuple(tuple(graphon.values[i][j] for j in kept) for i in kept)
-    return StepGraphon(weights, values, graphon.value_range), kept
 
 
 def twin_reduce(graphon: StepGraphon) -> StepGraphon:
@@ -136,13 +149,15 @@ def twin_reduce(graphon: StepGraphon) -> StepGraphon:
 
 def _twin_reduce_with_map(graphon: StepGraphon) -> tuple[StepGraphon, dict[int, int]]:
     """Reduced form plus original positive-weight block -> reduced class."""
-    positive, kept = _drop_zero_weight(graphon)
-    partition = twin_partition(positive)
-    reduced = quotient(positive, partition)
-    # every twin class of a zero-free graphon has positive weight, so the
-    # quotient drops nothing and class ids survive as block indices
-    block_map = {orig: partition.class_of[k] for k, orig in enumerate(kept)}
-    return reduced, block_map
+    kept = [b for b, w in enumerate(graphon.integer_tables[1]) if w > 0]
+    # twins among the positive-weight blocks; every class has positive
+    # weight, so class ids are the block indices of the reduced form
+    partition = BlockPartition.from_keys(_row_keys(graphon, kept, kept))
+    classes: list[list[int]] = [[] for _ in range(partition.class_count)]
+    for b, cid in zip(kept, partition.class_of):
+        classes[cid].append(b)
+    block_map = dict(zip(kept, partition.class_of))
+    return _merge_classes(graphon, classes), block_map
 
 
 def anchor_tags(
@@ -197,18 +212,38 @@ class WeakIsoVerdict:
             raise ValueError("exactly one of bijection/witness must be set")
 
 
-def _row_profile(graphon: StepGraphon, b: int) -> tuple:
-    pairs = sorted(
-        (graphon.values[b][j], graphon.weights[j]) for j in range(graphon.block_count)
+def _common_scale(
+    r1: StepGraphon, r2: StepGraphon
+) -> tuple[list[int], list[int], list[list[int]], list[list[int]]]:
+    """Weights and values of both graphons as ints at shared denominators.
+
+    Weights go to the lcm of the two weight scales, values to the lcm of the
+    two value scales; both maps preserve equality and order.
+    """
+    ra, wa, qa, va = r1.integer_tables
+    rb, wb, qb, vb = r2.integer_tables
+    r, q = math.lcm(ra, rb), math.lcm(qa, qb)
+    return (
+        [x * (r // ra) for x in wa],
+        [x * (r // rb) for x in wb],
+        (va * (q // qa)).tolist(),
+        (vb * (q // qb)).tolist(),
     )
-    return graphon.weights[b], tuple(pairs)
 
 
-def _find_bijection(r1: StepGraphon, r2: StepGraphon) -> tuple[int, ...] | None:
+def _row_profiles(weights: list[int], values: list[list[int]]) -> list[tuple]:
+    """Per block: its weight and the sorted (value, weight) pairs of its row."""
+    return [(w, tuple(sorted(zip(row, weights)))) for w, row in zip(weights, values)]
+
+
+def _find_bijection(
+    w1: list[int], v1: list[list[int]], w2: list[int], v2: list[list[int]]
+) -> tuple[int, ...] | None:
     """Backtracking over blocks ordered by (weight, row profile)."""
-    n = r1.block_count
-    order = sorted(range(n), key=lambda b: _row_profile(r1, b))
-    profiles2 = [_row_profile(r2, b) for b in range(n)]
+    n = len(w1)
+    profiles1 = _row_profiles(w1, v1)
+    profiles2 = _row_profiles(w2, v2)
+    order = sorted(range(n), key=profiles1.__getitem__)
     image = [-1] * n
     used = [False] * n
 
@@ -216,14 +251,14 @@ def _find_bijection(r1: StepGraphon, r2: StepGraphon) -> tuple[int, ...] | None:
         if d == n:
             return True
         i = order[d]
-        want = _row_profile(r1, i)
+        want = profiles1[i]
         for j in range(n):
             if used[j] or profiles2[j] != want:
                 continue
             ok = True
             for e in range(d):
                 k = order[e]
-                if r1.values[i][k] != r2.values[j][image[k]]:
+                if v1[i][k] != v2[j][image[k]]:
                     ok = False
                     break
             if not ok:
@@ -251,34 +286,32 @@ def _match_reduced(r1: StepGraphon, r2: StepGraphon) -> WeakIsoVerdict:
 
     Cheap invariants run first so the witness is as small as possible:
     block count, weight multiset, value multiset, then the backtracking
-    search for a weight- and value-preserving block bijection.
+    search for a weight- and value-preserving block bijection. All of them
+    compare ints at a common scale.
     """
     if r1.block_count != r2.block_count:
         return WeakIsoVerdict(
             False,
             witness=f"reduced block counts differ: {r1.block_count} vs {r2.block_count}",
         )
-    w1 = sorted(r1.weights)
-    w2 = sorted(r2.weights)
-    if w1 != w2:
+    w1, w2, v1, v2 = _common_scale(r1, r2)
+    if sorted(w1) != sorted(w2):
         return WeakIsoVerdict(
             False,
             witness="weight multisets differ: "
-            f"{[format_rational(w) for w in w1]} vs {[format_rational(w) for w in w2]}",
+            f"{[format_rational(w) for w in sorted(r1.weights)]} vs "
+            f"{[format_rational(w) for w in sorted(r2.weights)]}",
         )
-    v1 = sorted(v for row in r1.values for v in row)
-    v2 = sorted(v for row in r2.values for v in row)
-    if v1 != v2:
+    if sorted(v for row in v1 for v in row) != sorted(v for row in v2 for v in row):
         return WeakIsoVerdict(False, witness="value multisets differ")
-    bijection = _find_bijection(r1, r2)
+    bijection = _find_bijection(w1, v1, w2, v2)
     if bijection is None:
         return WeakIsoVerdict(
             False, witness="no weight- and value-preserving block bijection exists"
         )
-    for i in range(r1.block_count):
-        assert r1.weights[i] == r2.weights[bijection[i]]
-        for j in range(r1.block_count):
-            assert r1.values[i][j] == r2.values[bijection[i]][bijection[j]]
+    for i, bi in enumerate(bijection):
+        assert w1[i] == w2[bi]
+        assert all(v1[i][j] == v2[bi][bj] for j, bj in enumerate(bijection))
     return WeakIsoVerdict(True, bijection=bijection)
 
 
@@ -337,9 +370,8 @@ class CouplingMatrix:
         for row in self.masses:
             if len(row) != width:
                 raise ValueError("ragged mass matrix")
-            for m in row:
-                if m < 0:
-                    raise ValueError("negative mass")
+            if any(m.numerator < 0 for m in row):
+                raise ValueError("negative mass")
 
     @property
     def row_count(self) -> int:
@@ -370,13 +402,24 @@ def build_coupling(h1: StepGraphon, h2: StepGraphon) -> CouplingMatrix | None:
     if cq is None:
         return None
     u, map1, map2 = cq
-    masses = [
-        [Fraction(0)] * h2.block_count for _ in range(h1.block_count)
-    ]
-    for i, ci in map1.items():
-        for j, cj in map2.items():
-            if ci == cj:
-                masses[i][j] = h1.weights[i] * h2.weights[j] / u.weights[ci]
+    # with weights n_i / r_1, n'_j / r_2 and W_c = a / b, the mass of a pair
+    # in class c is n_i n'_j b / (r_1 r_2 a)
+    r1, n1 = h1.integer_tables[:2]
+    r2, n2 = h2.integer_tables[:2]
+    members1: list[list[int]] = [[] for _ in range(u.block_count)]
+    members2: list[list[int]] = [[] for _ in range(u.block_count)]
+    for i, c in map1.items():
+        members1[c].append(i)
+    for j, c in map2.items():
+        members2[c].append(j)
+    zero = Fraction(0)
+    masses = [[zero] * h2.block_count for _ in range(h1.block_count)]
+    for c, wc in enumerate(u.weights):
+        den = r1 * r2 * wc.numerator
+        for i in members1[c]:
+            row, top = masses[i], n1[i] * wc.denominator
+            for j in members2[c]:
+                row[j] = Fraction(top * n2[j], den)
     return CouplingMatrix(tuple(tuple(row) for row in masses))
 
 

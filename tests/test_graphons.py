@@ -131,3 +131,38 @@ def test_integer_tables_cached_outside_equality():
         values[0, 0] = 7
     fresh = step_graphon(["1/3", "2/3"], [["1/2", "1/4"], ["1/4", "1"]])
     assert fresh == h and hash(fresh) == hash(h)
+
+
+def test_validate_names_first_offending_entry_in_row_major_order():
+    third = ["1/3"] * 3
+    # asymmetric at (0,2) and (1,2); (0,2) comes first in row-major order
+    with pytest.raises(ValueError, match=r"^values asymmetric at \(0,2\)$"):
+        step_graphon(third, [["0", "0", "1"], ["0", "0", "1"], ["0", "0", "0"]])
+    with pytest.raises(ValueError, match=r"^values asymmetric at \(1,2\)$"):
+        step_graphon(third, [["0", "0", "0"], ["0", "0", "1"], ["0", "1/2", "0"]])
+    # out of range at (1,1), (1,2) and (2,1): (1,1) is named with its value
+    with pytest.raises(ValueError, match=r"^value 2 at \(1,1\) outside range \[0, 1\]$"):
+        step_graphon(third, [["0", "0", "0"], ["0", "2", "-1"], ["0", "-1", "0"]])
+    with pytest.raises(ValueError, match=r"^value -1/2 at \(0,2\) outside range \[0, 1\]$"):
+        step_graphon(third, [["0", "1", "-1/2"], ["1", "0", "3"], ["-1/2", "3", "0"]])
+    # the range check sees the declared range, not the default one
+    with pytest.raises(ValueError, match=r"^value 0 at \(0,0\) outside range \[1/4, 3\]$"):
+        step_graphon(third, [["0", "1", "3"], ["1", "4", "1"], ["3", "1", "1"]], ("1/4", 3))
+    with pytest.raises(ValueError, match=r"^value 4 at \(1,1\) outside range \[1/4, 3\]$"):
+        step_graphon(third, [["1", "1", "3"], ["1", "4", "1"], ["3", "1", "1"]], ("1/4", 3))
+
+
+def test_step_graphon_token_rules_hold_for_repeated_tokens():
+    # parsing each distinct token once must not let a bool ride on an equal int
+    with pytest.raises(ValueError, match="not a rational value: True"):
+        step_graphon([1], [[True]])
+    with pytest.raises(ValueError, match="not a rational value: False"):
+        step_graphon(["1/2", "1/2"], [[0, 1], [1, False]])
+    with pytest.raises(ValueError, match="not a rational value: True"):
+        step_graphon(["1/2", "1/2"], [[1, 0], [0, True]])
+    with pytest.raises(ValueError, match=r"not a rational value: \[1\]"):
+        step_graphon([1], [[[1]]])
+    with pytest.raises(ValueError, match=r"not a rational value: \[1\]"):
+        parse_graphon('{"weights": ["1/2", "1/2"], "values": [["1", "0"], ["0", [1]]]}')
+    h = step_graphon([1, 0], [[1, "1"], [" 1", F(1)]])
+    assert h.values == ((F(1), F(1)), (F(1), F(1)))

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -16,6 +19,7 @@ from graphlim import (
     unlabel,
 )
 from graphlim.corpus import complete_graph, cycle_graph, path_graph
+from graphlim.graphs import _canonical_code
 
 from conftest import multigraphs
 
@@ -152,3 +156,52 @@ def test_enumeration_yields_distinct_classes():
     for i in range(len(graphs)):
         for j in range(i + 1, len(graphs)):
             assert not are_isomorphic(graphs[i], graphs[j])
+
+
+def _brute_force_code(n, adj):
+    """Lexicographic maximum of the row-prefix codes over all n! orders."""
+    return max(
+        tuple(
+            sum(1 << i for i in range(d) if adj[order[d]] >> order[i] & 1)
+            for d in range(n)
+        )
+        for order in itertools.permutations(range(n))
+    )
+
+
+def _labeled_graphs(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        adj = [0] * n
+        for k, (u, v) in enumerate(pairs):
+            if mask >> k & 1:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        yield adj
+
+
+def test_canonical_code_is_the_maximum_over_all_orders():
+    # The search only records codes of actual orders. So if an isomorphism
+    # class split into several codes the class counts would exceed the known
+    # ones, and if a whole class got a code below its maximum the brute-force
+    # check of its representative would fail. Up to 5 nodes every labeled
+    # graph is coded; 6-node graphs are the 5-node representatives plus a
+    # node joined to each neighbor set, which reaches every class, shuffled.
+    rng = random.Random(6)
+    graphs = {n: list(_labeled_graphs(n)) for n in range(1, 6)}
+    graphs[6] = []
+    for base in {_canonical_code(5, adj): adj for adj in graphs[5]}.values():
+        for subset in range(1 << 5):
+            adj = [base[y] | (subset >> y & 1) << 5 for y in range(5)] + [subset]
+            perm = rng.sample(range(6), 6)
+            shuffled = [0] * 6
+            for x in range(6):
+                shuffled[perm[x]] = sum(1 << perm[y] for y in range(6) if adj[x] >> y & 1)
+            graphs[6].append(shuffled)
+    for n, classes in zip(range(1, 7), (1, 2, 4, 11, 34, 156)):
+        representative = {}
+        for adj in graphs[n]:
+            representative.setdefault(_canonical_code(n, adj), adj)
+        assert len(representative) == classes
+        for code, adj in representative.items():
+            assert code == _brute_force_code(n, adj)

@@ -3,9 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphlim import (
     BlockPartition,
+    StepGraphon,
     anchor_tags,
     anchored_quotient,
     blowup,
@@ -211,7 +213,8 @@ def test_weak_iso_weight_witness():
     a = step_graphon(["1/2", "1/2"], [["0", "1"], ["1", "1/2"]])
     b = step_graphon(["1/3", "2/3"], [["0", "1"], ["1", "1/2"]])
     v = weak_iso(a, b)
-    assert not v.isomorphic and "weight multisets differ" in v.witness
+    assert not v.isomorphic
+    assert v.witness == "weight multisets differ: ['1/2', '1/2'] vs ['1/3', '2/3']"
 
 
 def test_weak_iso_value_witness():
@@ -308,3 +311,182 @@ def test_mixed_moment_transfer_between_reduced_forms():
                         r2, [sigma[a] for a in anchors], list(exps)
                     ).exact
                     assert lhs == rhs, name
+
+
+# -- Fraction references ------------------------------------------------------
+# The formulas below compute on Fraction entries directly, independently of
+# the integer tables the library works on.
+
+
+def _first_appearance(keys) -> tuple[int, ...]:
+    ids: dict = {}
+    return tuple(ids.setdefault(key, len(ids)) for key in keys)
+
+
+def ref_twin_partition(h) -> tuple[int, ...]:
+    positive = [j for j, w in enumerate(h.weights) if w > 0]
+    return _first_appearance(tuple(row[j] for j in positive) for row in h.values)
+
+
+def ref_quotient(h, class_of):
+    c = max(class_of) + 1
+    class_weight = [F(0)] * c
+    for b, cid in enumerate(class_of):
+        class_weight[cid] += h.weights[b]
+    keep = [cid for cid in range(c) if class_weight[cid] > 0]
+    index = {cid: k for k, cid in enumerate(keep)}
+    raw = [[F(0)] * len(keep) for _ in keep]
+    for i, wi in enumerate(h.weights):
+        for j, wj in enumerate(h.weights):
+            if wi > 0 and wj > 0:
+                raw[index[class_of[i]]][index[class_of[j]]] += wi * wj * h.values[i][j]
+    weights = [class_weight[cid] for cid in keep]
+    values = [
+        [raw[s][t] / (weights[s] * weights[t]) for t in range(len(keep))]
+        for s in range(len(keep))
+    ]
+    return weights, values
+
+
+def ref_twin_reduce_with_map(h):
+    """(weights, values, {positive block: reduced block}) of the reduced form."""
+    kept = [b for b, w in enumerate(h.weights) if w > 0]
+    class_of = _first_appearance(tuple(h.values[i][j] for j in kept) for i in kept)
+    sub = StepGraphon(
+        tuple(h.weights[b] for b in kept),
+        tuple(tuple(h.values[i][j] for j in kept) for i in kept),
+    )
+    weights, values = ref_quotient(sub, class_of)
+    return weights, values, dict(zip(kept, class_of))
+
+
+def ref_match(w1, v1, w2, v2):
+    """Verdict text of the reduced-form matching, bijection or witness."""
+    n = len(w1)
+    if n != len(w2):
+        return f"NotIsomorphic\nwitness: reduced block counts differ: {n} vs {len(w2)}"
+    if sorted(w1) != sorted(w2):
+        return (
+            "NotIsomorphic\nwitness: weight multisets differ: "
+            f"{[str(w) for w in sorted(w1)]} vs {[str(w) for w in sorted(w2)]}"
+        )
+    if sorted(x for row in v1 for x in row) != sorted(x for row in v2 for x in row):
+        return "NotIsomorphic\nwitness: value multisets differ"
+
+    def profile(w, v, b):
+        return w[b], tuple(sorted((v[b][j], w[j]) for j in range(n)))
+
+    order = sorted(range(n), key=lambda b: profile(w1, v1, b))
+    image = [-1] * n
+
+    def rec(d):
+        if d == n:
+            return True
+        i = order[d]
+        for j in range(n):
+            if j in image or profile(w2, v2, j) != profile(w1, v1, i):
+                continue
+            if all(v1[i][k] == v2[j][image[k]] for k in order[:d]):
+                image[i] = j
+                if rec(d + 1):
+                    return True
+                image[i] = -1
+        return False
+
+    if not rec(0):
+        return "NotIsomorphic\nwitness: no weight- and value-preserving block bijection exists"
+    return "Isomorphic\nreduced block mapping: " + ", ".join(
+        f"{i} -> {j}" for i, j in enumerate(image)
+    )
+
+
+def ref_coupling(h1, h2):
+    w1, v1, map1 = ref_twin_reduce_with_map(h1)
+    w2, v2, map2 = ref_twin_reduce_with_map(h2)
+    text = ref_match(w1, v1, w2, v2)
+    if not text.startswith("Isomorphic"):
+        return None
+    pairs = text.split(": ")[1].split(", ")
+    inverse = {int(p.split(" -> ")[1]): int(p.split(" -> ")[0]) for p in pairs}
+    map2 = {b: inverse[c] for b, c in map2.items()}
+    return [
+        [
+            h1.weights[i] * h2.weights[j] / w1[map1[i]]
+            if i in map1 and j in map2 and map1[i] == map2[j]
+            else F(0)
+            for j in range(h2.block_count)
+        ]
+        for i in range(h1.block_count)
+    ]
+
+
+def _nudge(draw, h):
+    """h with one symmetric value pair between positive blocks changed."""
+    live = [x for x, w in enumerate(h.weights) if w > 0]
+    i, j = draw(st.sampled_from(live)), draw(st.sampled_from(live))
+    values = [list(row) for row in h.values]
+    old = values[i][j]
+    values[i][j] = values[j][i] = old + F(1, 6) if old <= F(1, 2) else old - F(1, 6)
+    return StepGraphon(h.weights, tuple(map(tuple, values)))
+
+
+@st.composite
+def permuted_double_blowups(draw):
+    """A graphon h, its 2-fold blowup g with shuffled blocks, and one-value
+    perturbations of both."""
+    h = draw(step_graphons(max_blocks=8))
+    b = h.block_count
+    perm = draw(st.permutations(range(2 * b)))
+    weights = [F(0)] * (2 * b)
+    values = [[F(0)] * (2 * b) for _ in range(2 * b)]
+    for old in range(2 * b):
+        weights[perm[old]] = h.weights[old % b] / 2
+        for old2 in range(2 * b):
+            values[perm[old]][perm[old2]] = h.values[old % b][old2 % b]
+    g = StepGraphon(tuple(weights), tuple(map(tuple, values)))
+    return h, g, _nudge(draw, h), _nudge(draw, g)
+
+
+@given(step_graphons(max_blocks=8), st.data())
+@settings(max_examples=100, deadline=None)
+def test_quotient_and_twin_partition_match_fraction_reference(H, data):
+    assert twin_partition(H).class_of == ref_twin_partition(H)
+    b = H.block_count
+    keys = data.draw(st.lists(st.integers(0, b - 1), min_size=b, max_size=b))
+    partition = BlockPartition.from_keys(keys)
+    q = quotient(H, partition)
+    weights, values = ref_quotient(H, partition.class_of)
+    assert q.weights == tuple(weights)
+    assert q.values == tuple(map(tuple, values))
+    assert q.value_range == H.value_range
+
+
+@given(permuted_double_blowups())
+@settings(max_examples=100, deadline=None)
+def test_weak_iso_and_coupling_on_blowups_match_fraction_reference(pair):
+    h, g, h_nudged, g_nudged = pair
+    verdict = weak_iso(h, g)
+    assert verdict.isomorphic
+    r1, r2 = twin_reduce(h), twin_reduce(g)
+    sigma = verdict.bijection
+    for i in range(r1.block_count):
+        assert r1.weights[i] == r2.weights[sigma[i]]
+        for j in range(r1.block_count):
+            assert r1.values[i][j] == r2.values[sigma[i]][sigma[j]]
+    w1, v1, _ = ref_twin_reduce_with_map(h)
+    w2, v2, _ = ref_twin_reduce_with_map(g)
+    assert render_verdict(verdict) == ref_match(w1, v1, w2, v2)
+    coupling = build_coupling(h, g)
+    assert [list(row) for row in coupling.masses] == ref_coupling(h, g)
+    # one changed value pair moves t(K2), so a witness names the first
+    # invariant that fails, exactly as the reference does
+    w3, v3, _ = ref_twin_reduce_with_map(h_nudged)
+    w4, v4, _ = ref_twin_reduce_with_map(g_nudged)
+    for a, b, expect in (
+        (h_nudged, g, ref_match(w3, v3, w2, v2)),
+        (h, g_nudged, ref_match(w1, v1, w4, v4)),
+    ):
+        miss = weak_iso(a, b)
+        assert not miss.isomorphic
+        assert render_verdict(miss) == expect
+        assert build_coupling(a, b) is None
