@@ -328,18 +328,18 @@ def ref_twin_partition(h) -> tuple[int, ...]:
     return _first_appearance(tuple(row[j] for j in positive) for row in h.values)
 
 
-def ref_quotient(h, class_of):
+def ref_quotient(h_weights, h_values, class_of):
     c = max(class_of) + 1
     class_weight = [F(0)] * c
     for b, cid in enumerate(class_of):
-        class_weight[cid] += h.weights[b]
+        class_weight[cid] += h_weights[b]
     keep = [cid for cid in range(c) if class_weight[cid] > 0]
     index = {cid: k for k, cid in enumerate(keep)}
     raw = [[F(0)] * len(keep) for _ in keep]
-    for i, wi in enumerate(h.weights):
-        for j, wj in enumerate(h.weights):
+    for i, wi in enumerate(h_weights):
+        for j, wj in enumerate(h_weights):
             if wi > 0 and wj > 0:
-                raw[index[class_of[i]]][index[class_of[j]]] += wi * wj * h.values[i][j]
+                raw[index[class_of[i]]][index[class_of[j]]] += wi * wj * h_values[i][j]
     weights = [class_weight[cid] for cid in keep]
     values = [
         [raw[s][t] / (weights[s] * weights[t]) for t in range(len(keep))]
@@ -352,11 +352,9 @@ def ref_twin_reduce_with_map(h):
     """(weights, values, {positive block: reduced block}) of the reduced form."""
     kept = [b for b, w in enumerate(h.weights) if w > 0]
     class_of = _first_appearance(tuple(h.values[i][j] for j in kept) for i in kept)
-    sub = StepGraphon(
-        tuple(h.weights[b] for b in kept),
-        tuple(tuple(h.values[i][j] for j in kept) for i in kept),
+    weights, values = ref_quotient(
+        [h.weights[b] for b in kept], [[h.values[i][j] for j in kept] for i in kept], class_of
     )
-    weights, values = ref_quotient(sub, class_of)
     return weights, values, dict(zip(kept, class_of))
 
 
@@ -455,7 +453,7 @@ def test_quotient_and_twin_partition_match_fraction_reference(H, data):
     keys = data.draw(st.lists(st.integers(0, b - 1), min_size=b, max_size=b))
     partition = BlockPartition.from_keys(keys)
     q = quotient(H, partition)
-    weights, values = ref_quotient(H, partition.class_of)
+    weights, values = ref_quotient(H.weights, H.values, partition.class_of)
     assert q.weights == tuple(weights)
     assert q.values == tuple(map(tuple, values))
     assert q.value_range == H.value_range
