@@ -26,7 +26,7 @@ from .reduction import (
     twin_reduce,
     weak_iso,
 )
-from .sampling import convergence_experiment, sample_wrandom, to_csv
+from .sampling import convergence_experiment, serialize_sample, to_csv
 from .spectral import eigendecompose, kernel_matrix
 
 
@@ -152,8 +152,7 @@ def _cmd_couple(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    graph = sample_wrandom(_load_graphon(args.graphon), args.n, args.seed)
-    _emit(serialize_graph(graph), args.output)
+    _emit(serialize_sample(_load_graphon(args.graphon), args.n, args.seed), args.output)
     return 0
 
 

@@ -37,6 +37,8 @@ from .streams import DOMAIN_MC_COORDS, philox_stream
 MAX_MOTIF_NODES = 8
 MAX_EXACT_BLOCKS = 64
 _FSUM_CHUNK = 1 << 16
+# budget for the samples x |V(F)| float64 coordinates of one Monte Carlo call
+MAX_MC_BYTES = 1 << 30
 
 AnchorAssignment = Mapping[int, int]
 
@@ -337,7 +339,7 @@ def mixed_moment(
 def _vectorized(kernel: BlackBoxKernel) -> bool:
     probe = np.array([0.25, 0.75])
     try:
-        out = np.asarray(kernel.evaluator(probe, probe), dtype=float)
+        out = np.asarray(kernel(probe, probe), dtype=float)
     except Exception:
         return False
     return out.shape == probe.shape
@@ -366,25 +368,36 @@ def density_mc(
     Sample s uses coordinates number s*k .. s*k+k-1 of the (seed,
     DOMAIN_MC_COORDS) stream, node index order; the reduction is exact
     float summation, so any sharding of the work gives identical output.
+    Each node's coordinates go through kernel.points once, and each edge
+    through kernel.evaluator once, in edge order. The samples x k float
+    coordinates must fit MAX_MC_BYTES.
     """
     _require_unlabeled(motif, "density_mc")
     _check_size(motif, node_limit)
     if samples < 2:
         raise ValueError("samples must be at least 2")
     k = motif.node_count
+    need = samples * k * 8
+    if need > MAX_MC_BYTES:
+        raise ValueError(
+            f"{samples} samples of {k} coordinates need {need} bytes, "
+            f"over the budget of {MAX_MC_BYTES} bytes"
+        )
     coords = philox_stream(seed, DOMAIN_MC_COORDS).random((samples, k))
     values = np.ones(samples)
     if _vectorized(kernel):
+        cols = [kernel.points(coords[:, x]) for x in range(k)]
+        del coords  # the points of a step kernel replace the coordinates
         for u, v, m in motif.edges:
-            w = np.asarray(kernel.evaluator(coords[:, u], coords[:, v]), dtype=float)
+            w = np.asarray(kernel.evaluator(cols[u], cols[v]), dtype=float)
             values *= w**m
     else:
-        ev = kernel.evaluator
-        for s in range(samples):
-            row = coords[s]
+        ev, points = kernel.evaluator, kernel.points
+        for s, row in enumerate(coords):
+            pts = [points(x) for x in row]
             acc = 1.0
             for u, v, m in motif.edges:
-                acc *= float(ev(row[u], row[v])) ** m
+                acc *= float(ev(pts[u], pts[v])) ** m
                 if acc == 0.0:
                     break
             values[s] = acc

@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -197,31 +197,49 @@ def evaluate(graphon: StepGraphon, x, y) -> Fraction:
     return graphon.values[block_of(graphon, xf)][block_of(graphon, yf)]
 
 
+def _identity(x):
+    return x
+
+
 @dataclass(frozen=True)
 class BlackBoxKernel:
     """Opaque symmetric bounded kernel; Monte Carlo paths only.
 
-    evaluator may accept numpy arrays elementwise (the estimator probes for
-    that and falls back to scalar calls), but only scalar behavior is part
-    of the contract.
+    The kernel's value at coordinates (x, y) is
+    evaluator(points(x), points(y)), which is what calling the kernel
+    returns. points maps a coordinate, or a column of them, to what the
+    evaluator reads; the Monte Carlo estimator applies it once to each motif
+    node's column and the evaluator once per edge. The default points is the
+    identity, so an evaluator of coordinates needs nothing else. The pair
+    may accept numpy arrays elementwise (the estimator probes for that and
+    falls back to scalar calls), but only scalar behavior is part of the
+    contract.
     """
 
-    evaluator: Callable[[float, float], float]
+    evaluator: Callable[[Any, Any], float]
     bound: float = 1.0
+    points: Callable[[Any], Any] = _identity
+
+    def __call__(self, x, y):
+        return self.evaluator(self.points(x), self.points(y))
 
     @classmethod
     def from_step_graphon(cls, graphon: StepGraphon) -> "BlackBoxKernel":
-        """Float realization of a step graphon, vectorized over arrays."""
+        """Float realization of a step graphon, vectorized over arrays: points
+        gives block indices in the narrowest unsigned dtype that holds them,
+        and the evaluator gathers from the float value table."""
         cuts = np.cumsum([float(w) for w in graphon.weights])[:-1]
         vals = np.array([[float(v) for v in row] for row in graphon.values])
         bound = max((abs(float(v)) for row in graphon.values for v in row), default=0.0)
+        block_dtype = np.min_scalar_type(graphon.block_count - 1)
 
-        def evaluator(x, y):
-            bx = np.searchsorted(cuts, x, side="right")
-            by = np.searchsorted(cuts, y, side="right")
+        def points(x):
+            return np.searchsorted(cuts, x, side="right").astype(block_dtype)
+
+        def evaluator(bx, by):
             return vals[bx, by]
 
-        return cls(evaluator=evaluator, bound=bound)
+        return cls(evaluator=evaluator, bound=bound, points=points)
 
 
 # -- file format -------------------------------------------------------------
@@ -247,17 +265,29 @@ def parse_graphon(text: str) -> StepGraphon:
     return step_graphon(weights, values, rng)
 
 
+def _json_array(items: list[str], depth: int) -> str:
+    """JSON array of already encoded items, laid out as json.dumps(indent=1)
+    lays out an array `depth` levels down."""
+    inner = "\n" + " " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + " " * depth + "]"
+
+
 def serialize_graphon(graphon: StepGraphon) -> str:
-    """Inverse of parse_graphon; emits the lower triangle mirrored, lowest terms."""
-    b = graphon.block_count
-    rows = [
-        [format_rational(graphon.values[max(i, j)][min(i, j)]) for j in range(b)]
-        for i in range(b)
-    ]
-    data: dict = {
-        "weights": [format_rational(w) for w in graphon.weights],
-        "values": rows,
+    """Inverse of parse_graphon; emits the lower triangle mirrored, lowest terms.
+
+    The text is json.dumps(indent=1) of the weights, values and, unless it is
+    the default, the range, written in one join: each distinct value is
+    encoded once, from the symmetric integer table.
+    """
+    _, _, q, table = graphon.integer_tables
+    rows = table.tolist()
+    token = {x: json.dumps(format_rational(Fraction(x, q))) for x in set().union(*rows)}
+    rows_text = [_json_array(list(map(token.__getitem__, row)), 2) for row in rows]
+    fields = {
+        "weights": _json_array([json.dumps(format_rational(w)) for w in graphon.weights], 1),
+        "values": _json_array(rows_text, 1),
     }
     if graphon.value_range != DEFAULT_RANGE:
-        data["range"] = [format_rational(x) for x in graphon.value_range]
-    return json.dumps(data, indent=1) + "\n"
+        ends = [json.dumps(format_rational(x)) for x in graphon.value_range]
+        fields["range"] = _json_array(ends, 1)
+    return "{\n" + ",\n".join(f' "{key}": {text}' for key, text in fields.items()) + "\n}\n"

@@ -10,6 +10,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 Edge = tuple[int, int, int]  # (u, v, multiplicity) with u < v
 
 MAX_ENUM_NODES = 7
@@ -229,14 +231,71 @@ def parse_graph(text: str) -> LabeledMultigraph:
     return LabeledMultigraph(n, edge_tuple, tuple(sorted(labels.items())))
 
 
+def _check_edge_arrays(
+    node_count: int, us: np.ndarray, vs: np.ndarray, mults: np.ndarray | None
+) -> None:
+    """The edge invariants of LabeledMultigraph, checked on whole arrays."""
+    if us.ndim != 1 or us.shape != vs.shape or (mults is not None and mults.shape != us.shape):
+        raise ValueError("edge arrays must be one-dimensional and of equal length")
+    bad = (us < 0) | (us >= vs) | (vs >= node_count)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if us[k] == vs[k]:
+            raise ValueError(f"loop edge at node {us[k]}")
+        raise ValueError(f"edge ({us[k]},{vs[k]}) out of range or not normalized")
+    if mults is not None and (mults < 1).any():
+        raise ValueError("multiplicity must be positive")
+    du, dv = np.diff(us), np.diff(vs)
+    rising = (du > 0) | ((du == 0) & (dv > 0))
+    if not rising.all():
+        k = int(np.argmin(rising)) + 1
+        if du[k - 1] == 0 and dv[k - 1] == 0:
+            raise ValueError(f"duplicate edge entry for pair ({us[k]},{vs[k]})")
+        raise ValueError("edges must be sorted lexicographically")
+
+
+def format_edge_list(
+    node_count: int,
+    us: np.ndarray,
+    vs: np.ndarray,
+    mults: np.ndarray | None = None,
+    labels: Sequence[tuple[int, int]] = (),
+) -> str:
+    """Graph-file text of the edges (us[k], vs[k], mults[k]); multiplicity 1
+    throughout when mults is None.
+
+    The arrays must satisfy what LabeledMultigraph enforces: endpoints in
+    range, u < v, pairs strictly increasing, multiplicities at least 1. They
+    are checked with numpy before anything is formatted. Each node's name is
+    formatted once, and the lines of one u share their prefix.
+    """
+    LabeledMultigraph(node_count, (), tuple(labels))  # checks node count and labels
+    us, vs = np.asarray(us), np.asarray(vs)
+    if mults is not None:
+        mults = np.asarray(mults)
+    _check_edge_arrays(node_count, us, vs, mults)
+    ul, vl = us.tolist(), vs.tolist()
+    top = int(vs.max()) + 1 if vl else 0
+    # every id below the largest endpoint, unless the ids are sparse
+    ids = range(top) if top <= 2 * len(vl) else set(ul).union(vl)
+    names = dict(zip(ids, map(str, ids)))
+    tails = list(map(names.__getitem__, vl))
+    if mults is not None:
+        for k in np.flatnonzero(mults != 1).tolist():
+            tails[k] += f" {mults[k]}"
+    out = [f"{node_count} {len(vl)}"]
+    bounds = [0, *(np.flatnonzero(np.diff(us)) + 1).tolist(), len(vl)] if vl else [0]
+    for a, b in zip(bounds, bounds[1:]):
+        head = names[ul[a]] + " "
+        out.append(head + ("\n" + head).join(tails[a:b]))
+    out.extend(f"label {node} {lab}" for node, lab in labels)
+    return "\n".join(out) + "\n"
+
+
 def serialize_graph(graph: LabeledMultigraph) -> str:
     """Inverse of parse_graph; edges sorted lexicographically, mult 1 omitted."""
-    out = [f"{graph.node_count} {len(graph.edges)}"]
-    for u, v, m in graph.edges:
-        out.append(f"{u} {v}" if m == 1 else f"{u} {v} {m}")
-    for node, lab in graph.labels:
-        out.append(f"label {node} {lab}")
-    return "\n".join(out) + "\n"
+    us, vs, mults = np.array(graph.edges).reshape(-1, 3).T
+    return format_edge_list(graph.node_count, us, vs, mults, graph.labels)
 
 
 # -- gluing algebra ----------------------------------------------------------

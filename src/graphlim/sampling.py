@@ -9,9 +9,13 @@ drawn from the same seed. The convergence experiment leans on that
 nesting: it draws each replication once, at the largest size, and reads
 every size as the leading block of that one adjacency matrix.
 
-A sample stays an n x n uint8 adjacency matrix until a graph object is
-needed: `sample_wrandom` builds one, the convergence experiment counts
-homomorphisms on the matrix directly.
+A sample is an n x n uint8 adjacency matrix. The draw puts the coins into
+the strict lower triangle of an n x n table, compares it once with the
+thresholds of the block pairs and mirrors the result. `sample_wrandom` builds
+a graph object from the matrix, `serialize_sample` (the `sample` command)
+writes the graph file from it directly, and the convergence experiment counts
+homomorphisms on it. The arrays of one draw, about 18 n^2 bytes at their
+peak, must fit MAX_SAMPLE_BYTES.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from .density import adjacency_density, density_exact
 from .graphons import StepGraphon
-from .graphs import LabeledMultigraph, connected_node_sets
+from .graphs import LabeledMultigraph, connected_node_sets, format_edge_list
 from .rational import format_float
 from .streams import (
     DOMAIN_CHILD_SEEDS,
@@ -37,11 +41,34 @@ from .streams import (
     weight_thresholds,
 )
 
+# budget for the arrays of one sample; _sample_bytes predicts their peak
+MAX_SAMPLE_BYTES = 1 << 30
+_BYTES_PER_CELL = 18
+
+
+def _sample_bytes(n: int) -> int:
+    """Predicted peak bytes of drawing an n-node sample: at the comparison,
+    n x n tables of uint64 coins and uint64 thresholds and two n x n boolean
+    masks are alive."""
+    return _BYTES_PER_CELL * n * n
+
 
 def _sample_adjacency(graphon: StepGraphon, n: int, seed: int) -> np.ndarray:
-    """Symmetric n x n uint8 adjacency of the W-random graph of (n, seed)."""
+    """Symmetric n x n uint8 adjacency of the W-random graph of (n, seed).
+
+    The coins fill the strict lower triangle of an n x n table in row-major
+    order, which puts coin j*(j-1)/2 + i at (j, i); one comparison with the
+    thresholds of the block pairs decides every edge, and the result is
+    mirrored.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
+    need = _sample_bytes(n)
+    if need > MAX_SAMPLE_BYTES:
+        raise ValueError(
+            f"a sample on {n} nodes needs about {need} bytes, "
+            f"over the budget of {MAX_SAMPLE_BYTES} bytes"
+        )
     for row in graphon.values:
         for v in row:
             if v < 0 or v > 1:
@@ -51,23 +78,26 @@ def _sample_adjacency(graphon: StepGraphon, n: int, seed: int) -> np.ndarray:
         weight_thresholds(graphon.weights),
         n,
     )
-    adjacency = np.zeros((n, n), dtype=np.uint8)
-    if n == 1:
-        return adjacency
     thresh = np.array(
         [[probability_threshold(v) for v in row] for row in graphon.values],
         dtype=np.uint64,
     )
-    total = n * (n - 1) // 2
-    coins = philox_stream(seed, DOMAIN_SAMPLE_EDGES).integers(
-        0, RESOLUTION, size=total, dtype=np.uint64
+    lower = np.tri(n, n, -1, dtype=bool)
+    coins = np.zeros((n, n), dtype=np.uint64)
+    coins[lower] = philox_stream(seed, DOMAIN_SAMPLE_EDGES).integers(
+        0, RESOLUTION, size=n * (n - 1) // 2, dtype=np.uint64
     )
-    j_idx = np.repeat(np.arange(1, n), np.arange(1, n))
-    i_idx = np.arange(total) - (j_idx * (j_idx - 1)) // 2
-    keep = coins < thresh[blocks[i_idx], blocks[j_idx]]
-    rows, cols = i_idx[keep], j_idx[keep]
-    adjacency[rows, cols] = adjacency[cols, rows] = 1
-    return adjacency
+    edges = coins < thresh[blocks][:, blocks]
+    del coins
+    edges &= lower
+    return (edges | edges.T).view(np.uint8)
+
+
+def _sample_edges(graphon: StepGraphon, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays (u, v), u < v, of the sample's edges in lexicographic
+    order: the row-major positions of the upper triangle's ones."""
+    upper = _sample_adjacency(graphon, n, seed).view(bool) & ~np.tri(n, n, 0, dtype=bool)
+    return np.divmod(np.flatnonzero(upper), n)
 
 
 def sample_wrandom(graphon: StepGraphon, n: int, seed: int) -> LabeledMultigraph:
@@ -76,8 +106,14 @@ def sample_wrandom(graphon: StepGraphon, n: int, seed: int) -> LabeledMultigraph
     Deterministic per (graphon, n, seed); growing n extends the sample
     instead of reshuffling it.
     """
-    rows, cols = np.nonzero(np.triu(_sample_adjacency(graphon, n, seed), 1))
+    rows, cols = _sample_edges(graphon, n, seed)
     return LabeledMultigraph(n, tuple(zip(rows.tolist(), cols.tolist(), repeat(1))))
+
+
+def serialize_sample(graphon: StepGraphon, n: int, seed: int) -> str:
+    """serialize_graph(sample_wrandom(graphon, n, seed)), written from the
+    adjacency without building a graph object."""
+    return format_edge_list(n, *_sample_edges(graphon, n, seed))
 
 
 @dataclass(frozen=True)

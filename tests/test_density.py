@@ -19,6 +19,9 @@ from graphlim import (
     product_identity_check,
     step_graphon,
 )
+import graphlim.density as density_module
+from graphlim import serialize_graph, serialize_graphon
+from graphlim.cli import run
 from graphlim.corpus import complete_graph, cycle_graph, graphon_corpus, path_graph
 
 from conftest import multigraphs, step_graphons
@@ -191,10 +194,44 @@ def test_density_mc_deterministic_and_calibrated():
 def test_density_mc_scalar_fallback_agrees():
     # a deliberately non-vectorizable evaluator must hit the scalar path
     table = BlackBoxKernel.from_step_graphon(B)
-    scalar = BlackBoxKernel(lambda x, y: float(table.evaluator(float(x), float(y))))
+    scalar = BlackBoxKernel(lambda x, y: float(table(float(x), float(y))))
     v = density_mc(K2, scalar, 500, 3)
     w = density_mc(K2, table, 500, 3)
     assert v.estimate == w.estimate
+
+
+MIXED = step_graphon(
+    ["1/6", "1/3", "1/2"],
+    [["1/7", "6/7", "0"], ["6/7", "1/2", "2/5"], ["0", "2/5", "1"]],
+)
+K3M2 = multigraph(3, [(0, 1, 2), (0, 2, 1), (1, 2, 1)])
+
+
+@pytest.mark.parametrize("motif", [K2, K3, cycle_graph(5), K3M2], ids=["K2", "K3", "C5", "K3m2"])
+@pytest.mark.parametrize("graphon", [MIXED, from_graph(path_graph(4))], ids=["mixed", "0/1"])
+def test_density_mc_kernels_agree_bit_for_bit(motif, graphon):
+    # block points, coordinate-level vectorised evaluation, and scalar calls
+    step = BlackBoxKernel.from_step_graphon(graphon)
+    coordinate = BlackBoxKernel(lambda x, y: step(x, y))
+    scalar = BlackBoxKernel(lambda x, y: float(step(float(x), float(y))))
+    assert density_module._vectorized(coordinate) and not density_module._vectorized(scalar)
+    estimates = {density_mc(motif, k, 3000, 17).estimate for k in (step, coordinate, scalar)}
+    assert len(estimates) == 1
+
+
+def test_density_mc_memory_guard(monkeypatch, tmp_path, capsys):
+    kernel = BlackBoxKernel.from_step_graphon(B)
+    monkeypatch.setattr(density_module, "MAX_MC_BYTES", 100 * 3 * 8)
+    assert density_mc(K3, kernel, 100, 0).estimate[2] == 100
+    budget = "101 samples of 3 coordinates need 2424 bytes, over the budget of 2400 bytes"
+    with pytest.raises(ValueError, match=budget):
+        density_mc(K3, kernel, 101, 0)
+    graphon, motif = tmp_path / "b.json", tmp_path / "k3.txt"
+    graphon.write_text(serialize_graphon(B))
+    motif.write_text(serialize_graph(K3))
+    argv = ["density", "--graph", str(motif), "--graphon", str(graphon), "--mc", "101"]
+    assert run(argv) == 1
+    assert budget in capsys.readouterr().err
 
 
 def test_density_mc_validation():

@@ -110,8 +110,8 @@ def test_round_trip_random(H):
 
 def test_black_box_kernel_matches_step_function():
     k = BlackBoxKernel.from_step_graphon(B)
-    assert k.evaluator(0.1, 0.9) == 1.0
-    assert k.evaluator(0.6, 0.9) == 0.0
+    assert k(0.1, 0.9) == 1.0
+    assert k(0.6, 0.9) == 0.0
     assert k.bound == 1.0
 
 

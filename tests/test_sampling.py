@@ -1,10 +1,13 @@
 import hashlib
 import math
+import tempfile
+import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphlim import (
@@ -17,10 +20,15 @@ from graphlim import (
     density_graph,
     describe_graph,
     multigraph,
+    parse_graph,
     sample_wrandom,
+    serialize_graphon,
+    serialize_sample,
     step_graphon,
     to_csv,
 )
+from graphlim import sampling
+from graphlim.cli import run
 from graphlim.corpus import (
     complete_graph,
     cycle_graph,
@@ -28,13 +36,20 @@ from graphlim.corpus import (
     path_graph,
     star_graph,
 )
-from graphlim.graphs import serialize_graph
-from graphlim.sampling import _exact_median
-from graphlim.streams import DOMAIN_CHILD_SEEDS, RESOLUTION, philox_stream
+from graphlim.graphs import format_edge_list, serialize_graph
+from graphlim.sampling import _exact_median, _sample_adjacency, _sample_bytes
+from graphlim.streams import (
+    DOMAIN_CHILD_SEEDS,
+    DOMAIN_SAMPLE_EDGES,
+    DOMAIN_SAMPLE_NODES,
+    RESOLUTION,
+    philox_stream,
+)
 
 from conftest import step_graphons
 
 B = step_graphon(["1/2", "1/2"], [["0", "1"], ["1", "0"]])
+ZERO = constant(F(0))
 K2 = complete_graph(2)
 
 
@@ -228,3 +243,108 @@ def test_sample_golden():
         hashlib.sha256(text.encode()).hexdigest()
         == "e2e51e146b6ff440a28215e508de68c4c5f2872eafaf384accae2572ab6e98f6"
     )
+
+
+def _reference_adjacency(graphon, n, seed):
+    """The documented stream layout, pair by pair: vertex i takes the first
+    block whose cumulative threshold floor(c * 2^63) exceeds node variate i,
+    and the pair (i, j), i < j, is an edge iff edge variate j*(j-1)/2 + i is
+    below floor(p * 2^63) for the pair's block value p."""
+    cum, acc = [], F(0)
+    for w in graphon.weights:
+        acc += w
+        cum.append(acc.numerator * 2**63 // acc.denominator)
+    draws = philox_stream(seed, DOMAIN_SAMPLE_NODES).integers(
+        0, RESOLUTION, size=n, dtype=np.uint64
+    )
+    blocks = [next(b for b, c in enumerate(cum) if r < c) for r in draws.tolist()]
+    coins = philox_stream(seed, DOMAIN_SAMPLE_EDGES).integers(
+        0, RESOLUTION, size=n * (n - 1) // 2, dtype=np.uint64
+    ).tolist()
+    adjacency = np.zeros((n, n), dtype=np.uint8)
+    for j in range(n):
+        for i in range(j):
+            p = graphon.values[blocks[i]][blocks[j]]
+            if coins[j * (j - 1) // 2 + i] < p.numerator * 2**63 // p.denominator:
+                adjacency[i, j] = adjacency[j, i] = 1
+    return adjacency
+
+
+@given(step_graphons(max_blocks=8), st.integers(1, 40), st.integers(0, 2**64 - 1))
+@example(ZERO, 1, 0)
+@example(ZERO, 25, 3)
+@example(B, 1, 7)
+@settings(max_examples=60, deadline=None)
+def test_sample_adjacency_matches_the_pairwise_reference(graphon, n, seed):
+    expected = _reference_adjacency(graphon, n, seed)
+    assert np.array_equal(_sample_adjacency(graphon, n, seed), expected)
+
+
+@given(step_graphons(max_blocks=8), st.integers(1, 40), st.integers(0, 2**64 - 1))
+@example(ZERO, 1, 0)
+@example(ZERO, 25, 3)
+@example(B, 1, 7)
+@settings(max_examples=40, deadline=None)
+def test_sample_command_writes_the_graph_text(graphon, n, seed):
+    graph = sample_wrandom(graphon, n, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        source, out = Path(tmp, "h.json"), Path(tmp, "g.txt")
+        source.write_text(serialize_graphon(graphon))
+        argv = ["sample", str(source), "--n", str(n), "--seed", str(seed), "-o", str(out)]
+        assert run(argv) == 0
+        text = out.read_text()
+    assert text == serialize_graph(graph) == serialize_sample(graphon, n, seed)
+    assert parse_graph(text) == graph
+
+
+def test_edge_list_writer_checks_its_arrays():
+    text = format_edge_list(4, np.array([0, 0, 2]), np.array([1, 3, 3]), np.array([1, 2, 1]))
+    assert text == "4 3\n0 1\n0 3 2\n2 3\n"
+    assert format_edge_list(3, np.array([], dtype=int), np.array([], dtype=int)) == "3 0\n"
+    bad = [
+        (([0, 1], [1, 4]), "out of range"),
+        (([-1], [2]), "out of range"),
+        (([2], [1]), "not normalized"),
+        (([1], [1]), "loop"),
+        (([0, 0], [2, 1]), "sorted"),
+        (([1, 0], [2, 3]), "sorted"),
+        (([0, 0], [1, 1]), "duplicate edge entry for pair \\(0,1\\)"),
+        (([0, 1], [1]), "equal length"),
+    ]
+    for (us, vs), match in bad:
+        with pytest.raises(ValueError, match=match):
+            format_edge_list(4, np.array(us), np.array(vs))
+    with pytest.raises(ValueError, match="multiplicity"):
+        format_edge_list(4, np.array([0]), np.array([1]), np.array([0]))
+
+
+def test_sample_bytes_bounds_the_measured_peak():
+    _sample_adjacency(B, 2, 0)  # first use of the generators allocates caches
+    n = 300
+    tracemalloc.start()
+    try:
+        _sample_adjacency(B, n, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _sample_bytes(n) == 18 * n * n
+    assert 0.95 * _sample_bytes(n) <= peak <= _sample_bytes(n) + 256 * n + 65536
+
+
+def test_sample_memory_guard(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(sampling, "MAX_SAMPLE_BYTES", _sample_bytes(40))
+    assert sample_wrandom(B, 40, 1).node_count == 40
+    budget = f"{_sample_bytes(41)} bytes, over the budget of {_sample_bytes(40)} bytes"
+    with pytest.raises(ValueError, match=budget):
+        sample_wrandom(B, 41, 1)
+    with pytest.raises(ValueError, match=budget):
+        convergence_experiment(B, K2, [10, 41], 2, 0)
+    graphon, motif = tmp_path / "b.json", tmp_path / "k2.txt"
+    graphon.write_text(serialize_graphon(B))
+    motif.write_text(serialize_graph(K2))
+    assert run(["sample", str(graphon), "--n", "41", "--seed", "1"]) == 1
+    assert budget in capsys.readouterr().err
+    argv = ["converge", str(graphon), "--graph", str(motif), "--sizes", "10,41", "--reps", "2",
+            "--seed", "0"]
+    assert run(argv) == 1
+    assert budget in capsys.readouterr().err
