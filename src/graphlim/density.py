@@ -36,8 +36,17 @@ from .streams import DOMAIN_MC_COORDS, philox_stream
 
 MAX_MOTIF_NODES = 8
 MAX_EXACT_BLOCKS = 64
+# samples per Monte Carlo chunk: coordinates drawn, values evaluated and
+# values binned by _fsum at a time
 _FSUM_CHUNK = 1 << 16
-# budget for the samples x |V(F)| float64 coordinates of one Monte Carlo call
+# np.frexp exponents of finite doubles lie in [_MIN_EXPONENT, 1024]
+_MIN_EXPONENT = -1073
+_EXPONENTS = 1024 - _MIN_EXPONENT + 1
+# an array, which holds fewer than 2**63 values, of magnitudes below it keeps
+# every partial sum of math.fsum below 2**1022
+_FSUM_LIMIT = 2.0**959
+# budget for the samples x |V(F)| float64 coordinates one Monte Carlo call
+# draws, in chunks of _FSUM_CHUNK samples
 MAX_MC_BYTES = 1 << 30
 
 AnchorAssignment = Mapping[int, int]
@@ -346,13 +355,38 @@ def _vectorized(kernel: BlackBoxKernel) -> bool:
 
 
 def _fsum(values: np.ndarray) -> float:
-    """math.fsum of a float array, fed as Python floats one chunk at a time
-    so that no list of a million floats is ever built."""
-    return math.fsum(
-        itertools.chain.from_iterable(
-            values[i : i + _FSUM_CHUNK].tolist() for i in range(0, len(values), _FSUM_CHUNK)
+    """math.fsum of a float array: the correctly rounded sum, computed exactly.
+
+    np.frexp writes each value as M * 2**(e - 53), M an integer below 2**53
+    in magnitude, split as M = hi * 2**26 + lo with 0 <= lo < 2**26. Per
+    chunk of _FSUM_CHUNK values, np.bincount sums hi and lo by exponent;
+    those float sums stay below 2**53 and are exact. The bins accumulate in
+    int64, at most 2**43 per chunk, so that any array of fewer than 2**36
+    values fits; the nonzero ones join as one Python int, and one correctly rounded
+    integer division gives the float. Values of magnitude 2**959 or more,
+    which could overflow an intermediate sum of math.fsum, and non-finite
+    values are left to math.fsum, fed as Python floats one chunk at a time.
+    """
+    if not max(values.max(initial=0.0), -values.min(initial=0.0)) < _FSUM_LIMIT:
+        return math.fsum(
+            itertools.chain.from_iterable(
+                values[i : i + _FSUM_CHUNK].tolist()
+                for i in range(0, len(values), _FSUM_CHUNK)
+            )
         )
+    bins = np.zeros((2, _EXPONENTS), dtype=np.int64)
+    for i in range(0, len(values), _FSUM_CHUNK):
+        mantissa, exponent = np.frexp(values[i : i + _FSUM_CHUNK])
+        exponent -= _MIN_EXPONENT
+        whole = mantissa * 2.0**53
+        hi = np.floor(whole * 2.0**-26)
+        lo = whole - hi * 2.0**26
+        bins[0] += np.bincount(exponent, hi, _EXPONENTS).astype(np.int64)
+        bins[1] += np.bincount(exponent, lo, _EXPONENTS).astype(np.int64)
+    total = sum(
+        ((int(bins[0, e]) << 26) + int(bins[1, e])) << int(e) for e in np.flatnonzero(bins.any(0))
     )
+    return total / (1 << (53 - _MIN_EXPONENT))
 
 
 def density_mc(
@@ -368,9 +402,11 @@ def density_mc(
     Sample s uses coordinates number s*k .. s*k+k-1 of the (seed,
     DOMAIN_MC_COORDS) stream, node index order; the reduction is exact
     float summation, so any sharding of the work gives identical output.
-    Each node's coordinates go through kernel.points once, and each edge
-    through kernel.evaluator once, in edge order. The samples x k float
-    coordinates must fit MAX_MC_BYTES.
+    The samples run in chunks of _FSUM_CHUNK, each drawn by one call on the
+    one generator, which continues the stream where the last call stopped.
+    In a chunk, each node's coordinates go through kernel.points once, and
+    each edge through kernel.evaluator once, in edge order. The samples x k
+    float coordinates drawn must fit MAX_MC_BYTES.
     """
     _require_unlabeled(motif, "density_mc")
     _check_size(motif, node_limit)
@@ -383,26 +419,32 @@ def density_mc(
             f"{samples} samples of {k} coordinates need {need} bytes, "
             f"over the budget of {MAX_MC_BYTES} bytes"
         )
-    coords = philox_stream(seed, DOMAIN_MC_COORDS).random((samples, k))
+    gen = philox_stream(seed, DOMAIN_MC_COORDS)
+    chunks = (
+        (start, gen.random((min(_FSUM_CHUNK, samples - start), k)))
+        for start in range(0, samples, _FSUM_CHUNK)
+    )
     values = np.ones(samples)
+    ev, points = kernel.evaluator, kernel.points
     if _vectorized(kernel):
-        cols = [kernel.points(coords[:, x]) for x in range(k)]
-        del coords  # the points of a step kernel replace the coordinates
-        for u, v, m in motif.edges:
-            w = np.asarray(kernel.evaluator(cols[u], cols[v]), dtype=float)
-            values *= w**m
-    else:
-        ev, points = kernel.evaluator, kernel.points
-        for s, row in enumerate(coords):
-            pts = [points(x) for x in row]
-            acc = 1.0
+        for start, coords in chunks:
+            cols = [points(coords[:, x]) for x in range(k)]
+            out = values[start : start + len(coords)]
             for u, v, m in motif.edges:
-                acc *= float(ev(pts[u], pts[v])) ** m
-                if acc == 0.0:
-                    break
-            values[s] = acc
+                out *= np.asarray(ev(cols[u], cols[v]), dtype=float) ** m
+    else:
+        for start, coords in chunks:
+            for s, row in enumerate(coords, start):
+                pts = [points(x) for x in row]
+                acc = 1.0
+                for u, v, m in motif.edges:
+                    acc *= float(ev(pts[u], pts[v])) ** m
+                    if acc == 0.0:
+                        break
+                values[s] = acc
     mean = _fsum(values) / samples
-    var = _fsum((values - mean) ** 2) / (samples - 1)
+    values -= mean
+    var = _fsum(np.square(values, out=values)) / (samples - 1)
     stderr = math.sqrt(var / samples)
     return DensityValue.from_estimate(mean, stderr, samples)
 

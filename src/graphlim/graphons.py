@@ -201,6 +201,12 @@ def _identity(x):
     return x
 
 
+def _ceil_double(c: Fraction) -> float:
+    """The smallest double >= c."""
+    d = float(c)
+    return d if Fraction(d) >= c else math.nextafter(d, math.inf)
+
+
 @dataclass(frozen=True)
 class BlackBoxKernel:
     """Opaque symmetric bounded kernel; Monte Carlo paths only.
@@ -226,18 +232,43 @@ class BlackBoxKernel:
     @classmethod
     def from_step_graphon(cls, graphon: StepGraphon) -> "BlackBoxKernel":
         """Float realization of a step graphon, vectorized over arrays: points
-        gives block indices in the narrowest unsigned dtype that holds them,
-        and the evaluator gathers from the float value table."""
-        cuts = np.cumsum([float(w) for w in graphon.weights])[:-1]
-        vals = np.array([[float(v) for v in row] for row in graphon.values])
+        gives intp block indices, and the evaluator gathers from the raveled
+        float value table.
+
+        Each cut is the smallest double at or above an exact block boundary,
+        so for every float x in [0, 1) the block is the number of cuts <= x,
+        which is block_of(graphon, Fraction(x)). An array of coordinates in
+        [0, 1) is looked up in a guide table (Chen and Asau, 1974) of G cells
+        of width 1/G, G the power of two in [64 B, 128 B), so that int(x * G)
+        is the exact cell: a cell with no cut strictly inside it holds its
+        block, and the few coordinates in a cell holding a cut go through
+        searchsorted on the cuts. Scalars, and arrays with a coordinate
+        outside [0, 1) or NaN, go through searchsorted alone.
+        """
+        b = graphon.block_count
+        cuts = np.array([_ceil_double(c) for c in graphon.cumulative()[1:-1]])
+        flat = np.array([[float(v) for v in row] for row in graphon.values]).ravel()
         bound = max((abs(float(v)) for row in graphon.values for v in row), default=0.0)
-        block_dtype = np.min_scalar_type(graphon.block_count - 1)
+        cells = 1 << (6 + (b - 1).bit_length())
+        edges = np.arange(cells + 1) / cells
+        first = np.searchsorted(cuts, edges[:-1], side="right")
+        guide = np.where(first == np.searchsorted(cuts, edges[1:], side="left"), first, -1)
 
         def points(x):
-            return np.searchsorted(cuts, x, side="right").astype(block_dtype)
+            x = np.asarray(x, dtype=float)
+            if x.ndim and x.size:
+                with np.errstate(over="ignore"):
+                    scaled = x * cells
+                if scaled.min() >= 0 and scaled.max() < cells:
+                    blocks = guide.take(scaled.astype(np.intp))
+                    split = np.flatnonzero(blocks < 0)
+                    if len(split):
+                        blocks.flat[split] = np.searchsorted(cuts, x.flat[split], side="right")
+                    return blocks
+            return np.searchsorted(cuts, x, side="right")
 
         def evaluator(bx, by):
-            return vals[bx, by]
+            return flat.take(bx * b + by)
 
         return cls(evaluator=evaluator, bound=bound, points=points)
 

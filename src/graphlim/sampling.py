@@ -53,13 +53,12 @@ def _sample_bytes(n: int) -> int:
     return _BYTES_PER_CELL * n * n
 
 
-def _sample_adjacency(graphon: StepGraphon, n: int, seed: int) -> np.ndarray:
-    """Symmetric n x n uint8 adjacency of the W-random graph of (n, seed).
+def _thresholds(graphon: StepGraphon, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The block thresholds and the uint64 table of edge thresholds for
+    n-node samples of a graphon whose values must be edge probabilities.
 
-    The coins fill the strict lower triangle of an n x n table in row-major
-    order, which puts coin j*(j-1)/2 + i at (j, i); one comparison with the
-    thresholds of the block pairs decides every edge, and the result is
-    mirrored.
+    The range is checked on the integer value table; only a failure rescans
+    the values, in row-major order, to name the first one outside [0,1].
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -69,28 +68,41 @@ def _sample_adjacency(graphon: StepGraphon, n: int, seed: int) -> np.ndarray:
             f"a sample on {n} nodes needs about {need} bytes, "
             f"over the budget of {MAX_SAMPLE_BYTES} bytes"
         )
-    for row in graphon.values:
-        for v in row:
-            if v < 0 or v > 1:
-                raise ValueError(f"value {v} outside [0,1] cannot be an edge probability")
-    blocks = draw_blocks(
-        philox_stream(seed, DOMAIN_SAMPLE_NODES),
-        weight_thresholds(graphon.weights),
-        n,
-    )
-    thresh = np.array(
-        [[probability_threshold(v) for v in row] for row in graphon.values],
-        dtype=np.uint64,
-    )
+    _, _, q, nv = graphon.integer_tables
+    if not (0 <= nv.min() and nv.max() <= q):
+        for row in graphon.values:
+            for v in row:
+                if v < 0 or v > 1:
+                    raise ValueError(f"value {v} outside [0,1] cannot be an edge probability")
+    edges = [[probability_threshold(v) for v in row] for row in graphon.values]
+    return weight_thresholds(graphon.weights), np.array(edges, dtype=np.uint64)
+
+
+def _draw_adjacency(thresholds: tuple[np.ndarray, np.ndarray], n: int, seed: int) -> np.ndarray:
+    """Symmetric n x n uint8 adjacency of the W-random graph of (n, seed),
+    drawn with the graphon's _thresholds for n nodes.
+
+    The coins fill the strict lower triangle of an n x n table in row-major
+    order, which puts coin j*(j-1)/2 + i at (j, i); one comparison with the
+    thresholds of the block pairs decides every edge, and the result is
+    mirrored.
+    """
+    node_thresh, edge_thresh = thresholds
+    blocks = draw_blocks(philox_stream(seed, DOMAIN_SAMPLE_NODES), node_thresh, n)
     lower = np.tri(n, n, -1, dtype=bool)
     coins = np.zeros((n, n), dtype=np.uint64)
     coins[lower] = philox_stream(seed, DOMAIN_SAMPLE_EDGES).integers(
         0, RESOLUTION, size=n * (n - 1) // 2, dtype=np.uint64
     )
-    edges = coins < thresh[blocks][:, blocks]
+    edges = coins < edge_thresh[blocks][:, blocks]
     del coins
     edges &= lower
     return (edges | edges.T).view(np.uint8)
+
+
+def _sample_adjacency(graphon: StepGraphon, n: int, seed: int) -> np.ndarray:
+    """Symmetric n x n uint8 adjacency of the W-random graph of (n, seed)."""
+    return _draw_adjacency(_thresholds(graphon, n), n, seed)
 
 
 def _sample_edges(graphon: StepGraphon, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -191,8 +203,9 @@ def convergence_experiment(
     ]
     errs: list[list[Fraction]] = [[] for _ in sizes]
     top = max(sizes)
+    thresholds = _thresholds(graphon, top)
     for child in child_seeds:
-        adjacency = _sample_adjacency(graphon, top, child)
+        adjacency = _draw_adjacency(thresholds, top, child)
         for errs_at, n in zip(errs, sizes):
             errs_at.append(abs(adjacency_density(motif, adjacency[:n, :n]) - target))
     stats = tuple(

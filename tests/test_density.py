@@ -1,8 +1,12 @@
+import math
 import random
 from fractions import Fraction as F
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphlim import (
     BlackBoxKernel,
@@ -217,6 +221,102 @@ def test_density_mc_kernels_agree_bit_for_bit(motif, graphon):
     assert density_module._vectorized(coordinate) and not density_module._vectorized(scalar)
     estimates = {density_mc(motif, k, 3000, 17).estimate for k in (step, coordinate, scalar)}
     assert len(estimates) == 1
+
+
+PADDED = step_graphon(
+    ["0", "1/4", "0", "3/4", "0"],
+    [["1", "1", "1", "1", "1"], ["1", "1/3", "1", "2/3", "1"], ["1", "1", "0", "1", "0"],
+     ["1", "2/3", "1", "1/5", "1"], ["1", "1", "0", "1", "1"]],
+)
+MC_KERNELS = {
+    "step-mixed": BlackBoxKernel.from_step_graphon(MIXED),
+    "step-padded": BlackBoxKernel.from_step_graphon(PADDED),
+    "product": BlackBoxKernel(lambda x, y: x * y),
+    "minimum": BlackBoxKernel(min),  # min of two arrays raises: scalar loop
+}
+MC_MOTIFS = {"K3": K3, "C5": cycle_graph(5), "K3m2": K3M2}
+
+
+@pytest.mark.parametrize(
+    "motif,kernel,samples,seed,text,mean,stderr",
+    [
+        ("C5", "step-mixed", 2, 5, "0.120000000000 ± 0.0400000000000 (2)",
+         0.12000000000000002, 0.04000000000000001),
+        ("K3", "step-mixed", 70001, 11, "0.206532202809 ± 0.00118380334772 (70001)",
+         0.20653220280943094, 0.0011838033477243278),
+        ("C5", "step-padded", 131073, 23, "0.0110346210956 ± 0.0000471855217945 (131073)",
+         0.01103462109560472, 4.718552179454818e-05),
+        ("K3m2", "step-mixed", 65537, 7, "0.170659174875 ± 0.00123673782336 (65537)",
+         0.17065917487549137, 0.0012367378233590304),
+        ("K3", "product", 100000, 3, "0.0368613833404 ± 0.000255786065838 (100000)",
+         0.03686138334036404, 0.00025578606583776344),
+        ("K3m2", "minimum", 70001, 13, "0.0398218883920 ± 0.000324251041235 (70001)",
+         0.03982188839203535, 0.00032425104123473634),
+        ("C5", "minimum", 2, 1, "0.0290594018738 ± 0.0290534419988 (2)",
+         0.029059401873793106, 0.02905344199884389),
+    ],
+)
+def test_density_mc_goldens(motif, kernel, samples, seed, text, mean, stderr):
+    # pinned bit for bit: sample counts on both sides of a chunk boundary,
+    # the vectorised and the scalar loop, zero-weight blocks, multiplicities
+    value = density_mc(MC_MOTIFS[motif], MC_KERNELS[kernel], samples, seed)
+    assert str(value) == text
+    assert value.estimate == (mean, stderr, samples)
+
+
+def _same_fsum(values: list[float]) -> None:
+    try:
+        expected = math.fsum(values).hex()
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            density_module._fsum(np.array(values))
+        return
+    assert density_module._fsum(np.array(values)).hex() == expected
+
+
+_TINY = 2.2250738585072014e-308  # smallest normal double
+_ADDENDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-_TINY, _TINY),
+    st.floats(-1e6, 1e6),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 2.0**53, 2.0**-1022]),
+)
+
+
+@st.composite
+def _cancelling_arrays(draw, addends=_ADDENDS):
+    values = draw(st.lists(addends, max_size=40))
+    cancel = draw(st.lists(st.sampled_from(values), max_size=len(values))) if values else []
+    return draw(st.permutations(values + [-x for x in cancel]))
+
+
+@given(_cancelling_arrays())
+@example([1e308, 1e308, -1e308])
+@example([1.7976931348623157e308, 1.7976931348623157e308 * 2.0**-53])
+@example([2.0**-1074] * 3 + [-(2.0**-1073)])
+@example([1.0, 2.0**-53, 2.0**-105])
+@example([1.0, 2.0**-53, -(2.0**-105)])
+@settings(max_examples=300, deadline=None)
+def test_fsum_is_math_fsum(values):
+    _same_fsum(values)
+    with mock.patch.object(density_module, "_FSUM_CHUNK", 3):
+        _same_fsum(values)
+
+
+@given(_cancelling_arrays(st.one_of(_ADDENDS, st.sampled_from([math.inf, -math.inf, math.nan]))))
+@example([math.inf, -math.inf])
+@example([math.inf, 1.0])
+@example([math.nan, 1.0])
+@settings(max_examples=100, deadline=None)
+def test_fsum_leaves_non_finite_arrays_to_math_fsum(values):
+    _same_fsum(values)
+
+
+def test_fsum_on_a_long_array_of_mixed_exponents():
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(200_003) * 2.0 ** rng.integers(-60, 60, 200_003)
+    values[::7] = -values[1::7][: len(values[::7])]
+    assert density_module._fsum(values) == math.fsum(values.tolist())
 
 
 def test_density_mc_memory_guard(monkeypatch, tmp_path, capsys):

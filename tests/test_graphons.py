@@ -1,7 +1,10 @@
+import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphlim import (
     BlackBoxKernel,
@@ -113,6 +116,54 @@ def test_black_box_kernel_matches_step_function():
     assert k(0.1, 0.9) == 1.0
     assert k(0.6, 0.9) == 0.0
     assert k.bound == 1.0
+
+
+def test_step_kernel_blocks_agree_with_block_of_at_decimal_boundaries():
+    tenths = step_graphon(["1/10"] * 10, [["0"] * 10] * 10)
+    xs = [0.6, 0.7, 0.7999999999999999, 0.8999999999999999]
+    assert [block_of(tenths, F(x)) for x in xs] == [5, 6, 7, 8]
+    kernel = BlackBoxKernel.from_step_graphon(tenths)
+    assert kernel.points(np.array(xs)).tolist() == [5, 6, 7, 8]
+    assert [kernel.points(x) for x in xs] == [5, 6, 7, 8]
+
+
+@st.composite
+def _weights(draw):
+    """Up to 64 weights with zero-weight blocks, and tiny ones that put
+    several cuts in one cell of the guide table."""
+    parts = draw(
+        st.lists(
+            st.one_of(st.just(0), st.integers(1, 9), st.integers(1, 10**15)),
+            min_size=1,
+            max_size=64,
+        ).filter(any)
+    )
+    return [F(p, sum(parts)) for p in parts]
+
+
+@given(_weights(), st.lists(st.floats(0, 1, exclude_max=True), max_size=50))
+@example([F(1, 3), F(1, 3), F(1, 3)], [])
+@example([F(0), F(1, 2**60), F(1, 2**60), F(0), 1 - F(1, 2**59)], [0.5])
+@example([F(1, 7)] * 6 + [F(1, 7), F(0)], [])
+@settings(max_examples=150, deadline=None)
+def test_step_kernel_points_equal_block_of(weights, xs):
+    b = len(weights)
+    h = StepGraphon(tuple(weights), ((F(0),) * b,) * b)
+    near = set(xs)
+    for c in h.cumulative():
+        d = float(c)
+        near |= {math.nextafter(d, -1.0), d, math.nextafter(d, 2.0)}
+    coords = sorted(x for x in near if 0 <= x < 1)
+    expected = [block_of(h, F(x)) for x in coords]
+    kernel = BlackBoxKernel.from_step_graphon(h)
+    assert kernel.points(np.array(coords)).tolist() == expected
+    assert [int(kernel.points(x)) for x in coords] == expected
+    # coordinates outside [0, 1) and NaN count the cuts below them, as
+    # searchsorted does: none below a negative, all below 1, inf and NaN
+    odd = [-0.5, -math.inf, 1.0, 1e308, math.inf, math.nan]
+    mixed = np.array(coords + odd)
+    assert kernel.points(mixed).tolist() == expected + [0, 0] + [b - 1] * 4
+    assert kernel.points(np.array(coords).reshape(1, -1)).tolist() == [expected]
 
 
 def test_corpus_members_valid():

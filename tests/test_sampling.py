@@ -86,6 +86,30 @@ def test_sample_validation():
         sample_wrandom(wide, 5, 1)
 
 
+def test_sample_and_converge_name_the_first_value_outside_0_1(tmp_path, capsys):
+    wide = step_graphon(
+        ["1/4", "1/4", "1/2"],
+        [["1/2", "3/2", "-1/3"], ["3/2", "2", "0"], ["-1/3", "0", "1"]],
+        value_range=("-1", "2"),
+    )
+    message = "value 3/2 outside [0,1] cannot be an edge probability"
+    with pytest.raises(ValueError) as caught:
+        serialize_sample(wide, 5, 1)
+    assert str(caught.value) == message
+    with pytest.raises(ValueError) as caught:
+        convergence_experiment(wide, K2, [4, 8], 3, 0)
+    assert str(caught.value) == message
+    graphon, motif = tmp_path / "w.json", tmp_path / "k2.txt"
+    graphon.write_text(serialize_graphon(wide))
+    motif.write_text(serialize_graph(K2))
+    assert run(["sample", str(graphon), "--n", "5", "--seed", "1"]) == 1
+    assert message in capsys.readouterr().err
+    argv = ["converge", str(graphon), "--graph", str(motif), "--sizes", "4,8", "--reps", "3",
+            "--seed", "0"]
+    assert run(argv) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_sample_edge_rate_tracks_density():
     # E[t(K2, G_n)] = (n-1)/n * t(K2, H); check a 4 sigma band
     n, trials = 60, 500
