@@ -6,10 +6,12 @@ into blocks (host nodes, for a finite graph) of node weights times one table
 entry per edge: the value table rescaled by a common denominator and raised
 to the edge multiplicity, or the 0/1 adjacency. Pinned nodes are evidence:
 their table rows are sliced, and an edge between two pinned nodes is a
-constant factor. The engine sums free nodes out one bucket at a time
-(bucket elimination) with np.einsum, in an order found by exact search over
-the node subsets of each connected piece, so a motif of treewidth w on B
-blocks costs about |V(F)|*B^(w+1) rather than B^|V(F)|.
+constant factor. Kept nodes are not summed out: one call returns a labeled
+motif's anchored densities at every anchor tuple. The engine sums free nodes
+out one bucket at a time (bucket elimination) with np.einsum, in an order
+found by exact search over the node subsets of each connected piece, so a
+motif of treewidth w on B blocks costs about |V(F)|*B^(w+1) rather than
+B^|V(F)|.
 
 The tables are int64 when the weight total to the number of free nodes,
 times the largest |entry| to the total multiplicity, is below 2^63: no
@@ -142,11 +144,12 @@ def _best_order(neighbors: tuple[int, ...], block_count: int) -> tuple[int, ...]
 
 
 def _elimination_order(
-    free: list[int], edges: Sequence[Edge], block_count: int
+    free: list[int], edges: Sequence[Edge], block_count: int, kept: Sequence[int] = ()
 ) -> list[int]:
-    """Free nodes component by component, each in its best order."""
-    pos = {x: i for i, x in enumerate(free)}
-    neighbors = [0] * len(free)
+    """Free nodes component by component, each in its best order. A kept
+    node is never eliminated but widens every bucket that reaches it."""
+    pos = {x: i for i, x in enumerate([*free, *kept])}
+    neighbors = [0] * len(pos)
     for u, v, _ in edges:
         if u in pos and v in pos:
             neighbors[pos[u]] |= 1 << pos[v]
@@ -157,8 +160,9 @@ def _elimination_order(
         comp, _ = _closure(neighbors, left & -left, left)
         left ^= comp
         members = [i for i in range(len(free)) if comp >> i & 1]
+        reach = members + list(range(len(free), len(pos)))
         local = tuple(
-            sum(1 << k for k, j in enumerate(members) if neighbors[i] >> j & 1)
+            sum(1 << k for k, j in enumerate(reach) if neighbors[i] >> j & 1)
             for i in members
         )
         order += [free[members[k]] for k in _best_order(local, block_count)]
@@ -171,31 +175,36 @@ def _hom_sum(
     table: np.ndarray,
     weights: Sequence[int],
     pinned: Mapping[int, int],
-) -> int:
-    """Sum over maps phi of the unpinned nodes into range(len(weights)) of
+    kept: Sequence[int] = (),
+) -> int | np.ndarray:
+    """Sum over maps phi of the free nodes into range(len(weights)) of
     prod_x weights[phi(x)] * prod_(u,v,m) table[phi(u), phi(v)]**m.
 
-    Pinned nodes are held at their blocks and carry no weight. No partial
-    sum exceeds `bound`, so int64 tables are exact below 2**63.
+    Pinned nodes are held at their blocks; kept nodes are not summed out,
+    and the call returns the table over them, axes in the given order. Neither
+    carries a weight. No entry or partial sum exceeds `bound`, so int64
+    tables are exact below 2**63.
     """
-    free = [x for x in range(node_count) if x not in pinned]
+    free = [x for x in range(node_count) if x not in pinned and x not in kept]
     top = max(1, int(np.max(np.abs(table))))
     bound = sum(weights) ** len(free) * top ** sum(m for _, _, m in edges)
     dtype = np.int64 if bound < 2**63 else object
     powers = {m: table.astype(dtype) ** m for m in {m for _, _, m in edges}}
     result = 1
-    factors = [(np.array(weights, dtype=dtype), (x,)) for x in free]
+    vectors = {x: np.array(weights, dtype=dtype) for x in free}
+    vectors.update((x, np.ones(len(weights), dtype=dtype)) for x in kept)
+    factors = [(vec, (x,)) for x, vec in vectors.items()]
     for u, v, m in edges:
         if u in pinned and v in pinned:
             result *= int(table[pinned[u], pinned[v]]) ** m
         elif u in pinned or v in pinned:
             a, x = (u, v) if u in pinned else (v, u)
-            factors.append((powers[m][pinned[a]], (x,)))
+            vectors[x] *= powers[m][pinned[a]]  # in place: factors holds it
         else:
             factors.append((powers[m], (u, v)))
-    if result == 0:
+    if result == 0 and not kept:
         return 0
-    for x in _elimination_order(free, edges, len(weights)):
+    for x in _elimination_order(free, edges, len(weights), kept):
         bucket = [f for f in factors if x in f[1]]
         factors = [f for f in factors if x not in f[1]]
         labels = sorted({y for _, scope in bucket for y in scope})
@@ -204,6 +213,9 @@ def _hom_sum(
             item for arr, s in bucket for item in (arr, [labels.index(y) for y in s])
         ]
         factors.append((np.einsum(*operands, [labels.index(y) for y in scope]), scope))
+    if kept:
+        operands = [item for arr, s in factors for item in (arr, [kept.index(y) for y in s])]
+        return result * np.einsum(*operands, list(range(len(kept))))
     for arr, _ in factors:
         result *= int(arr)
     return result
@@ -317,8 +329,8 @@ def mixed_moment(
 ) -> DensityValue:
     """E(prod_i W(X, a_i)^{k_i}) over a weight-distributed block X.
 
-    This is the anchored density of the star multigraph with the same
-    exponents, computed directly as the weighted sum over blocks.
+    This is the density of the star whose leaf i is pinned at block a_i and
+    joined to the free center by k_i parallel edges; no node or block limit.
     """
     if len(anchors) != len(exponents):
         raise ValueError("anchors and exponents must have the same length")
@@ -327,19 +339,10 @@ def mixed_moment(
             raise ValueError(f"anchor block {a} out of range")
     if any(k < 0 for k in exponents):
         raise ValueError("exponents must be nonnegative")
-    direct = Fraction(0)
-    for x in range(graphon.block_count):
-        w = graphon.weights[x]
-        if w == 0:
-            continue
-        term = w
-        for a, k in zip(anchors, exponents):
-            if k:
-                term *= graphon.values[x][a] ** k
-                if term == 0:
-                    break
-        direct += term
-    return DensityValue.from_exact(direct)
+    star = LabeledMultigraph(
+        len(anchors) + 1, tuple((0, i, k) for i, k in enumerate(exponents, 1) if k)
+    )
+    return _graphon_density(star, graphon, dict(enumerate(anchors, 1)))
 
 
 # -- Monte Carlo ---------------------------------------------------------------
@@ -462,7 +465,7 @@ def product_identity_check(
     """Both sides of t(F1 F2, H) = sum over anchor tuples of weighted t_x(F1) t_x(F2).
 
     F1 and F2 must carry the same label set {1..k}. Returns (lhs, rhs); equality
-    is the caller's assertion.
+    is the caller's assertion. The right side weights one kept table per factor.
     """
     labels1, labels2 = f1.label_set, f2.label_set
     if labels1 != labels2:
@@ -474,19 +477,15 @@ def product_identity_check(
         raise ValueError(f"{k} labels exceed the limit {node_limit}")
     glued = unlabel(product(f1, f2))
     lhs = density_exact(glued, graphon, node_limit=max(node_limit, glued.node_count)).exact
-    rhs = Fraction(0)
-    blocks = range(graphon.block_count)
-    for combo in itertools.product(blocks, repeat=k):
-        weight = Fraction(1)
-        for b in combo:
-            weight *= graphon.weights[b]
-        if weight == 0:
-            continue
-        assignment = {i + 1: b for i, b in enumerate(combo)}
-        t1 = anchored_density(f1, graphon, assignment).exact
-        if t1 == 0:
-            continue
-        t2 = anchored_density(f2, graphon, assignment).exact
-        rhs += weight * t1 * t2
+    r, nw, q, nv = graphon.integer_tables
+    axes = list(range(k))
+    operands: list = [item for i in axes for item in (np.array(nw, dtype=object), [i])]
+    for f in (f1, f2):
+        _check_size(f, MAX_MOTIF_NODES)
+        kept = [node for node, _ in sorted(f.labels, key=lambda item: item[1])]
+        table = _hom_sum(f.node_count, f.edges, nv, nw, {}, kept)
+        operands += [np.asarray(table, dtype=object), axes]
+    scale = r**glued.node_count * q**glued.total_multiplicity
+    rhs = Fraction(int(np.einsum(*operands, [])), scale)
     assert lhs is not None
     return lhs, rhs

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .density import MAX_MOTIF_NODES, anchored_density, density_exact
+from .density import MAX_MOTIF_NODES, _hom_sum, density_exact
 from .graphons import StepGraphon
 from .graphs import LabeledMultigraph, subdivide_edge
 
@@ -78,8 +78,9 @@ def cycle_density_spectral(graphon: StepGraphon, k: int) -> float:
 def path_operator_entry(graphon: StepGraphon, i: int, j: int, k: int) -> Fraction:
     """Anchored density of the k-edge path with pinned endpoints, exactly.
 
-    Row-vector power iteration of the weighted kernel: r_{m+1}[b] =
-    sum_a r_m[a] * p_a * values[a][b], starting from row i of values.
+    A matrix power on the integer tables, for any k: the row r_0 = values[i]
+    steps k-1 times through r_{m+1} = (r_m * weights) @ values, and one
+    division by the common denominators gives entry j.
     """
     b = graphon.block_count
     for name, idx in (("i", i), ("j", j)):
@@ -87,15 +88,12 @@ def path_operator_entry(graphon: StepGraphon, i: int, j: int, k: int) -> Fractio
             raise ValueError(f"block {name}={idx} out of range")
     if k < 1:
         raise ValueError("k must be at least 1")
-    vals = graphon.values
-    w = graphon.weights
-    row = list(vals[i])
+    r, nw, q, nv = graphon.integer_tables
+    weights = np.array(nw, dtype=object)
+    row = nv[i]
     for _ in range(k - 1):
-        row = [
-            sum((row[a] * w[a] * vals[a][t] for a in range(b)), Fraction(0))
-            for t in range(b)
-        ]
-    return row[j]
+        row = (row * weights) @ nv
+    return Fraction(row[j], r ** (k - 1) * q**k)
 
 
 @dataclass(frozen=True)
@@ -155,27 +153,22 @@ def _spectral_coefficients(
 ) -> tuple[tuple[float, ...], list[float]]:
     """Eigenvalues with coefficients a_n = u_n^T D^{1/2} T' D^{1/2} u_n.
 
-    T' is the matrix of 2-anchored densities of the remainder motif.
-    Summing a_n times the eigenvalue reconstructs the base density with
-    the removed edge restored, which is the trace identity the report
-    checks.
+    T' is the matrix of 2-anchored densities of the remainder motif, one
+    engine table with both labeled nodes kept, correctly rounded. Summing
+    a_n times the eigenvalue reconstructs the base density with the removed
+    edge restored, which is the trace identity the report checks.
     """
-    b = graphon.block_count
-    tprime = np.array(
-        [
-            [
-                float(anchored_density(remainder, graphon, {1: x, 2: y}).exact)
-                for y in range(b)
-            ]
-            for x in range(b)
-        ]
-    )
+    r, nw, q, nv = graphon.integer_tables
+    kept = [node for node, _ in remainder.labels]
+    table = _hom_sum(remainder.node_count, remainder.edges, nv, nw, {}, kept)
+    scale = r ** (remainder.node_count - 2) * q**remainder.total_multiplicity
+    tprime = (table.astype(object) / scale).astype(float)
     d = np.sqrt(np.array([float(w) for w in graphon.weights]))
     core = np.outer(d, d) * tprime
     spectrum = eigendecompose(kernel_matrix(graphon))
     coeffs = [
         float(spectrum.eigenvectors[:, n] @ core @ spectrum.eigenvectors[:, n])
-        for n in range(b)
+        for n in range(graphon.block_count)
     ]
     return spectrum.eigenvalues, coeffs
 

@@ -63,6 +63,39 @@ def brute_anchored(
     return total
 
 
+def brute_mixed_moment(
+    graphon: StepGraphon, anchors: list[int], exponents: list[int]
+) -> Fraction:
+    """E(prod_i W(X, a_i)^{k_i}) as the weighted sum over the blocks X."""
+    total = Fraction(0)
+    for x in range(graphon.block_count):
+        term = graphon.weights[x]
+        for a, k in zip(anchors, exponents):
+            term *= graphon.values[x][a] ** k
+        total += term
+    return total
+
+
+def brute_glued_sum(
+    f1: LabeledMultigraph, f2: LabeledMultigraph, graphon: StepGraphon
+) -> Fraction:
+    """Sum over anchor tuples x of labels 1..k of the weight of x times
+    brute_anchored(f1, x) * brute_anchored(f2, x)."""
+    k = len(f1.labels)
+    total = Fraction(0)
+    for combo in iproduct(range(graphon.block_count), repeat=k):
+        anchors = {i + 1: b for i, b in enumerate(combo)}
+        weight = Fraction(1)
+        for b in combo:
+            weight *= graphon.weights[b]
+        total += (
+            weight
+            * brute_anchored(f1, graphon, anchors)
+            * brute_anchored(f2, graphon, anchors)
+        )
+    return total
+
+
 def bipartite_k2_monotone_rate(sizes: list[int], reps: int) -> float:
     """Chance that one seed of the K2 convergence experiment on the bipartite
     kernel (weights 1/2, value 1 across the blocks, 0 within) gives median

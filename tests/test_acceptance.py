@@ -50,6 +50,8 @@ from oracles import (
     binomial_acceptance_interval,
     bipartite_k2_monotone_rate,
     brute_density_graph,
+    brute_glued_sum,
+    brute_mixed_moment,
 )
 
 B = step_graphon(["1/2", "1/2"], [["0", "1"], ["1", "0"]])
@@ -264,6 +266,7 @@ def test_labeled_product_density_identity_randomized():
         h = _random_graphon(rng)
         lhs, rhs = product_identity_check(f1, f2, h)
         assert lhs == rhs, (trial, f1, f2, h)
+        assert rhs == brute_glued_sum(f1, f2, h), (trial, f1, f2, h)
     verdict(
         "labeled product identity",
         True,
@@ -278,7 +281,8 @@ def test_mixed_moments_equal_star_densities_and_full_anchor_reduction():
         for size in (1, 2, 3):
             for anchors in itertools.product(blocks, repeat=size):
                 for exps in itertools.product((1, 2, 3), repeat=size):
-                    direct = mixed_moment(h, list(anchors), list(exps)).exact
+                    direct = brute_mixed_moment(h, list(anchors), list(exps))
+                    assert mixed_moment(h, list(anchors), list(exps)).exact == direct, name
                     star = star_multigraph(exps)
                     pinned = {i + 1: a for i, a in enumerate(anchors)}
                     assert direct == anchored_density(star, h, pinned).exact, name

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -29,7 +30,12 @@ from graphlim.cli import run
 from graphlim.corpus import complete_graph, cycle_graph, graphon_corpus, path_graph
 
 from conftest import multigraphs, step_graphons
-from oracles import brute_anchored, brute_density_exact, brute_density_graph
+from oracles import (
+    brute_anchored,
+    brute_density_exact,
+    brute_density_graph,
+    brute_mixed_moment,
+)
 
 B = step_graphon(["1/2", "1/2"], [["0", "1"], ["1", "0"]])
 HK3 = from_graph(complete_graph(3))
@@ -154,12 +160,73 @@ def test_mixed_moment_is_star_density():
     assert mixed_moment(HK3, [0, 1], [1, 1]).exact == F(1, 3)
     # zero exponents contribute nothing
     assert mixed_moment(B, [0, 1], [2, 0]).exact == mixed_moment(B, [0], [2]).exact
+    for h in graphon_corpus().values():
+        last = h.block_count - 1
+        for anchors, exps in [([], []), ([0], [0]), ([0, 0], [1, 3]), ([last, 0], [2, 1])]:
+            assert mixed_moment(h, anchors, exps).exact == brute_mixed_moment(h, anchors, exps)
+    # any number of anchors: more leaves than np.einsum takes operands
+    h = graphon_corpus()["blocks3"]
+    anchors = [x % h.block_count for x in range(100)]
+    exps = [x % 4 for x in range(100)]
+    assert mixed_moment(h, anchors, exps).exact == brute_mixed_moment(h, anchors, exps)
     with pytest.raises(ValueError):
         mixed_moment(B, [0], [1, 2])
     with pytest.raises(ValueError):
         mixed_moment(B, [9], [1])
     with pytest.raises(ValueError):
         mixed_moment(B, [0], [-1])
+
+
+def _kept_table(motif, graphon):
+    """The engine's table over the labeled nodes, in label order, and its scale."""
+    r, nw, q, nv = graphon.integer_tables
+    kept = [node for node, _ in sorted(motif.labels, key=lambda item: item[1])]
+    table = density_module._hom_sum(motif.node_count, motif.edges, nv, nw, {}, kept)
+    scale = r ** (motif.node_count - len(kept)) * q**motif.total_multiplicity
+    return np.asarray(table, dtype=object), scale
+
+
+@given(multigraphs(max_nodes=5, max_labels=3), step_graphons(max_blocks=4))
+@settings(max_examples=60, deadline=None)
+# a kept node with no edge
+@example(
+    multigraph(3, [(0, 1, 1)], labels=[(2, 1)]),
+    step_graphon(["1/3", "2/3"], [["1/2", "1"], ["1", "0"]]),
+)
+# an edge between two kept nodes, and no free node at all
+@example(
+    multigraph(2, [(0, 1, 2)], labels=[(0, 1), (1, 2)]),
+    step_graphon(["1/3", "2/3"], [["1/2", "1"], ["1", "1/5"]]),
+)
+# kept nodes out of node order, and an isolated free node
+@example(
+    multigraph(4, [(0, 2, 1), (1, 2, 3)], labels=[(0, 2), (1, 1)]),
+    step_graphon(
+        ["1/4", "0", "3/4"], [["1", "0", "1/2"], ["0", "1", "1/3"], ["1/2", "1/3", "0"]]
+    ),
+)
+# the object-dtype branch: 10006**12 overflows int64
+@example(
+    multigraph(4, [(u, v, 2) for u in range(4) for v in range(u + 1, 4)], labels=[(1, 1), (3, 2)]),
+    constant(F(10006, 10007)),
+)
+def test_kept_table_entries_are_anchored_densities(motif, graphon):
+    table, scale = _kept_table(motif, graphon)
+    k = len(motif.labels)
+    assert table.shape == (graphon.block_count,) * k
+    for combo in itertools.product(range(graphon.block_count), repeat=k):
+        anchors = {i + 1: b for i, b in enumerate(combo)}
+        assert F(table[combo], scale) == brute_anchored(motif, graphon, anchors)
+
+
+def test_kept_table_dtype_branches():
+    k4 = [(u, v, 2) for u in range(4) for v in range(u + 1, 4)]
+    _, nw, _, nv = constant(F(10006, 10007)).integer_tables
+    big = density_module._hom_sum(4, k4, nv, nw, {}, [1, 3])
+    assert big.dtype == object and big.tolist() == [[10006**12]]
+    _, nw, _, nv = B.integer_tables
+    small = density_module._hom_sum(3, [(0, 1, 1), (1, 2, 1)], nv, nw, {}, [0, 2])
+    assert small.dtype == np.int64 and small.tolist() == [[1, 0], [0, 1]]
 
 
 def test_product_identity_on_fixed_cases():

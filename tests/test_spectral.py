@@ -147,6 +147,16 @@ def test_path_operator_entry_examples_and_validation():
         path_operator_entry(B, 0, 0, 0)
 
 
+def test_path_operator_entry_closed_form_on_bipartite_for_long_paths():
+    # a k-edge walk on the bipartite kernel ends across iff k is odd; each
+    # of its k-1 inner nodes has one admissible block, of weight 1/2
+    for k in range(1, 41):
+        for i in range(2):
+            for j in range(2):
+                expected = F(1, 2 ** (k - 1)) if (i != j) == (k % 2 == 1) else F(0)
+                assert path_operator_entry(B, i, j, k) == expected, (i, j, k)
+
+
 def test_multigraph_check_on_weakly_isomorphic_pair():
     double = multigraph(2, [(0, 1, 2)])
     report = multigraph_from_simple_check(B, blowup(B, 2), double)
