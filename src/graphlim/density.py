@@ -87,7 +87,7 @@ def _require_unlabeled(graph: LabeledMultigraph, op: str) -> None:
         raise ValueError(f"{op} needs an unlabeled graph; use anchored_density for labels")
 
 
-def _check_size(graph: LabeledMultigraph, node_limit: int) -> None:
+def _check_size(graph: LabeledMultigraph, node_limit: int = MAX_MOTIF_NODES) -> None:
     if graph.node_count > node_limit:
         raise ValueError(
             f"graph has {graph.node_count} nodes, exceeding the limit {node_limit}"
@@ -233,12 +233,7 @@ def adjacency_density(motif: LabeledMultigraph, adjacency: np.ndarray) -> Fracti
     return Fraction(hom, n**motif.node_count)
 
 
-def density_graph(
-    motif: LabeledMultigraph,
-    graph: LabeledMultigraph,
-    *,
-    node_limit: int = MAX_MOTIF_NODES,
-) -> DensityValue:
+def density_graph(motif: LabeledMultigraph, graph: LabeledMultigraph) -> DensityValue:
     """hom(F,G) / n^|V(F)| for a simple unlabeled host graph G.
 
     A multigraph motif is allowed: against 0/1 adjacency, multiplicities
@@ -247,7 +242,7 @@ def density_graph(
     _require_unlabeled(motif, "density_graph")
     if not graph.is_simple or not graph.is_unlabeled:
         raise ValueError("host graph must be simple and unlabeled")
-    _check_size(motif, node_limit)
+    _check_size(motif)
     n = graph.node_count
     upper = np.zeros(n * n, dtype=np.uint8)
     upper[[u * n + v for u, v, _ in graph.edges]] = 1
@@ -303,11 +298,7 @@ def _check_anchor_assignment(
 
 
 def anchored_density(
-    motif: LabeledMultigraph,
-    graphon: StepGraphon,
-    anchors: AnchorAssignment,
-    *,
-    node_limit: int = MAX_MOTIF_NODES,
+    motif: LabeledMultigraph, graphon: StepGraphon, anchors: AnchorAssignment
 ) -> DensityValue:
     """Density with labeled nodes pinned to anchor blocks.
 
@@ -315,7 +306,7 @@ def anchored_density(
     unlabeled nodes only. With no labels and no anchors this reduces to
     density_exact.
     """
-    _check_size(motif, node_limit)
+    _check_size(motif)
     _check_blocks(graphon)
     pinned = _check_anchor_assignment(motif, anchors, graphon.block_count)
     return _graphon_density(motif, graphon, pinned)
@@ -393,12 +384,7 @@ def _fsum(values: np.ndarray) -> float:
 
 
 def density_mc(
-    motif: LabeledMultigraph,
-    kernel: BlackBoxKernel,
-    samples: int,
-    seed: int,
-    *,
-    node_limit: int = MAX_MOTIF_NODES,
+    motif: LabeledMultigraph, kernel: BlackBoxKernel, samples: int, seed: int
 ) -> DensityValue:
     """Plain Monte Carlo over i.i.d. uniform node coordinates.
 
@@ -412,7 +398,7 @@ def density_mc(
     float coordinates drawn must fit MAX_MC_BYTES.
     """
     _require_unlabeled(motif, "density_mc")
-    _check_size(motif, node_limit)
+    _check_size(motif)
     if samples < 2:
         raise ValueError("samples must be at least 2")
     k = motif.node_count
@@ -456,11 +442,7 @@ def density_mc(
 
 
 def product_identity_check(
-    f1: LabeledMultigraph,
-    f2: LabeledMultigraph,
-    graphon: StepGraphon,
-    *,
-    node_limit: int = MAX_MOTIF_NODES,
+    f1: LabeledMultigraph, f2: LabeledMultigraph, graphon: StepGraphon
 ) -> tuple[Fraction, Fraction]:
     """Both sides of t(F1 F2, H) = sum over anchor tuples of weighted t_x(F1) t_x(F2).
 
@@ -473,15 +455,15 @@ def product_identity_check(
     k = len(labels1)
     if sorted(labels1) != list(range(1, k + 1)):
         raise ValueError(f"labels must be exactly 1..k, got {sorted(labels1)}")
-    if k > node_limit:
-        raise ValueError(f"{k} labels exceed the limit {node_limit}")
+    if k > MAX_MOTIF_NODES:
+        raise ValueError(f"{k} labels exceed the limit {MAX_MOTIF_NODES}")
     glued = unlabel(product(f1, f2))
-    lhs = density_exact(glued, graphon, node_limit=max(node_limit, glued.node_count)).exact
+    lhs = density_exact(glued, graphon, node_limit=glued.node_count).exact
     r, nw, q, nv = graphon.integer_tables
     axes = list(range(k))
     operands: list = [item for i in axes for item in (np.array(nw, dtype=object), [i])]
     for f in (f1, f2):
-        _check_size(f, MAX_MOTIF_NODES)
+        _check_size(f)
         kept = [node for node, _ in sorted(f.labels, key=lambda item: item[1])]
         table = _hom_sum(f.node_count, f.edges, nv, nw, {}, kept)
         operands += [np.asarray(table, dtype=object), axes]

@@ -247,8 +247,9 @@ class BlackBoxKernel:
         """
         b = graphon.block_count
         cuts = np.array([_ceil_double(c) for c in graphon.cumulative()[1:-1]])
-        flat = np.array([[float(v) for v in row] for row in graphon.values]).ravel()
-        bound = max((abs(float(v)) for row in graphon.values for v in row), default=0.0)
+        _, _, q, nv = graphon.integer_tables
+        flat = (nv / q).astype(float).ravel()
+        bound = float(np.abs(flat).max())
         cells = 1 << (6 + (b - 1).bit_length())
         edges = np.arange(cells + 1) / cells
         first = np.searchsorted(cuts, edges[:-1], side="right")

@@ -7,7 +7,7 @@ pair with an aggregated multiplicity; loops are rejected everywhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -79,10 +79,6 @@ class LabeledMultigraph:
         return frozenset(lab for _, lab in self.labels)
 
     @property
-    def labeled_nodes(self) -> frozenset[int]:
-        return frozenset(node for node, _ in self.labels)
-
-    @property
     def is_unlabeled(self) -> bool:
         return not self.labels
 
@@ -116,7 +112,8 @@ def multigraph(
     edges: Iterable[tuple[int, int] | tuple[int, int, int]] = (),
     labels: Mapping[int, int] | Iterable[tuple[int, int]] | None = None,
 ) -> LabeledMultigraph:
-    """Build a graph from loose edge data; parallel entries aggregate."""
+    """Build a graph from loose edge data, put in normal form: u < v, one
+    entry per pair, multiplicities summed, pairs sorted."""
     agg: dict[tuple[int, int], int] = {}
     for entry in edges:
         if len(entry) == 2:
@@ -144,28 +141,6 @@ def unlabel(graph: LabeledMultigraph) -> LabeledMultigraph:
     return LabeledMultigraph(graph.node_count, graph.edges, ())
 
 
-def connected_node_sets(graph: LabeledMultigraph) -> list[list[int]]:
-    """Connected components as sorted node lists, ascending by smallest node."""
-    adj = graph.adjacency()
-    seen = [False] * graph.node_count
-    comps: list[list[int]] = []
-    for start in range(graph.node_count):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-        comps.append(sorted(comp))
-    return comps
-
-
 # -- file format -----------------------------------------------------------
 
 
@@ -190,7 +165,7 @@ def parse_graph(text: str) -> LabeledMultigraph:
         raise GraphParseError("malformed-line", f"bad header counts: {lines[0]!r}")
     if len(lines) < 1 + m:
         raise GraphParseError("malformed-line", f"expected {m} edge lines")
-    agg: dict[tuple[int, int], int] = {}
+    entries = []
     for idx in range(1, 1 + m):
         parts = lines[idx].split()
         if parts[0] == "label" or len(parts) not in (2, 3):
@@ -206,9 +181,7 @@ def parse_graph(text: str) -> LabeledMultigraph:
             raise GraphParseError("node-range", f"node id out of range: {lines[idx]!r}")
         if u == v:
             raise GraphParseError("loop", f"loop edge: {lines[idx]!r}")
-        if u > v:
-            u, v = v, u
-        agg[(u, v)] = agg.get((u, v), 0) + mult
+        entries.append((u, v, mult))
     labels: dict[int, int] = {}
     used_labels: set[int] = set()
     for idx in range(1 + m, len(lines)):
@@ -227,8 +200,7 @@ def parse_graph(text: str) -> LabeledMultigraph:
             raise GraphParseError("duplicate-label", f"duplicate label line: {lines[idx]!r}")
         labels[node] = lab
         used_labels.add(lab)
-    edge_tuple = tuple((u, v, mult) for (u, v), mult in sorted(agg.items()))
-    return LabeledMultigraph(n, edge_tuple, tuple(sorted(labels.items())))
+    return multigraph(n, entries, labels)
 
 
 def _check_edge_arrays(
@@ -314,22 +286,19 @@ def product(f1: LabeledMultigraph, f2: LabeledMultigraph) -> LabeledMultigraph:
     f2_labels = f2.label_map
     for node in range(f2.node_count):
         lab = f2_labels.get(node)
-        if lab is not None and lab in f1_by_label:
+        if lab in f1_by_label:
             mapping[node] = f1_by_label[lab]
         else:
             mapping[node] = next_id
             next_id += 1
-    agg: dict[tuple[int, int], int] = {(u, v): m for u, v, m in f1.edges}
-    for u, v, m in f2.edges:
-        a, b = mapping[u], mapping[v]
-        if a > b:
-            a, b = b, a
-        agg[(a, b)] = agg.get((a, b), 0) + m
-    labels = dict(f1.labels)
-    for node, lab in f2.labels:
-        labels[mapping[node]] = lab
-    edge_tuple = tuple((u, v, m) for (u, v), m in sorted(agg.items()))
-    return LabeledMultigraph(next_id, edge_tuple, tuple(sorted(labels.items())))
+    edges = [*f1.edges, *((mapping[u], mapping[v], m) for u, v, m in f2.edges)]
+    labels = {**f1.label_map, **{mapping[node]: lab for node, lab in f2.labels}}
+    return multigraph(next_id, edges, labels)
+
+
+def _without_one_copy(graph: LabeledMultigraph, u: int, v: int) -> list[Edge]:
+    """The edges of graph less one parallel copy between u < v."""
+    return [(a, b, m - ((a, b) == (u, v))) for a, b, m in graph.edges if (a, b, m) != (u, v, 1)]
 
 
 def subdivide_edge(
@@ -345,18 +314,9 @@ def subdivide_edge(
         raise ValueError(f"pair ({u},{v}) carries no edge")
     if new_nodes == 0:
         return graph
-    agg = {(a, b): m for a, b, m in graph.edges}
-    if agg[(u, v)] == 1:
-        del agg[(u, v)]
-    else:
-        agg[(u, v)] -= 1
-    path = [u] + list(range(graph.node_count, graph.node_count + new_nodes)) + [v]
-    for a, b in zip(path, path[1:]):
-        if a > b:
-            a, b = b, a
-        agg[(a, b)] = agg.get((a, b), 0) + 1
-    edge_tuple = tuple((a, b, m) for (a, b), m in sorted(agg.items()))
-    return LabeledMultigraph(graph.node_count + new_nodes, edge_tuple, graph.labels)
+    path = [u, *range(graph.node_count, graph.node_count + new_nodes), v]
+    edges = _without_one_copy(graph, u, v) + list(zip(path, path[1:]))
+    return multigraph(graph.node_count + new_nodes, edges, graph.labels)
 
 
 def edge_power(graph: LabeledMultigraph, q: int) -> LabeledMultigraph:
@@ -441,21 +401,6 @@ def are_isomorphic(f1: LabeledMultigraph, f2: LabeledMultigraph) -> bool:
     return extend(0)
 
 
-def _refine_colors(n: int, adj: list[int]) -> list[int]:
-    """Iterated degree refinement over bitmask adjacency; stable color ids."""
-    colors = [bin(adj[x]).count("1") for x in range(n)]
-    while True:
-        sigs = []
-        for x in range(n):
-            nb = sorted(colors[y] for y in range(n) if adj[x] >> y & 1)
-            sigs.append((colors[x], tuple(nb)))
-        order = sorted(set(sigs))
-        new = [order.index(s) for s in sigs]
-        if new == colors:
-            return colors
-        colors = new
-
-
 def _canonical_code(n: int, adj: list[int]) -> tuple[int, ...]:
     """Maximal sequence of row prefixes over all node orders.
 
@@ -466,7 +411,6 @@ def _canonical_code(n: int, adj: list[int]) -> tuple[int, ...]:
     the search branches on those nodes alone. Exponential in the worst case,
     fine below 8 nodes.
     """
-    colors = _refine_colors(n, adj)
     best: list[int] | None = None
     placed: list[int] = []
     prefix: list[int] = []
@@ -492,8 +436,7 @@ def _canonical_code(n: int, adj: list[int]) -> tuple[int, ...]:
         if best is not None and top < best[d] and prefix == best[:d]:
             return
         prefix.append(top)
-        # color order is a heuristic only; the pruning carries correctness
-        for x in sorted((x for x, c in codes.items() if c == top), key=colors.__getitem__):
+        for x in [x for x, c in codes.items() if c == top]:
             placed.append(x)
             in_placed[x] = True
             rec()
@@ -515,9 +458,7 @@ def _graph_from_code(n: int, code: tuple[int, ...]) -> LabeledMultigraph:
     return multigraph(n, edges)
 
 
-def enumerate_simple_graphs(
-    max_nodes: int, *, node_limit: int = MAX_ENUM_NODES
-) -> Iterator[LabeledMultigraph]:
+def enumerate_simple_graphs(max_nodes: int) -> Iterator[LabeledMultigraph]:
     """One representative per isomorphism class of connected simple graphs,
     2..max_nodes nodes, unlabeled, in a fixed deterministic order.
 
@@ -527,8 +468,8 @@ def enumerate_simple_graphs(
     """
     if max_nodes < 2:
         raise ValueError("max_nodes must be at least 2")
-    if max_nodes > node_limit:
-        raise ValueError(f"max_nodes {max_nodes} exceeds limit {node_limit}")
+    if max_nodes > MAX_ENUM_NODES:
+        raise ValueError(f"max_nodes {max_nodes} exceeds limit {MAX_ENUM_NODES}")
     prev: list[tuple[int, ...]] = [(0,)]  # the single node, as its code
     for n in range(2, max_nodes + 1):
         seen: dict[tuple[int, ...], None] = {}

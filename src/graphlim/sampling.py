@@ -28,7 +28,7 @@ import numpy as np
 
 from .density import adjacency_density, density_exact
 from .graphons import StepGraphon
-from .graphs import LabeledMultigraph, connected_node_sets, format_edge_list
+from .graphs import LabeledMultigraph, are_isomorphic, format_edge_list, multigraph, unlabel
 from .rational import format_float
 from .streams import (
     DOMAIN_CHILD_SEEDS,
@@ -225,7 +225,8 @@ def describe_graph(graph: LabeledMultigraph) -> str:
     if graph.is_simple:
         if m == n * (n - 1) // 2:
             return f"K{n}"
-        if n >= 3 and m == n and degs == [2] * n and len(connected_node_sets(graph)) == 1:
+        ring = [(x, (x + 1) % n) for x in range(n)]
+        if n >= 3 and m == n and are_isomorphic(unlabel(graph), multigraph(n, ring)):
             return f"C{n}"
         if n >= 2 and m == n - 1 and degs == [1, 1] + [2] * (n - 2):
             return f"P{n}"

@@ -16,17 +16,21 @@ import numpy as np
 
 from .density import MAX_MOTIF_NODES, _hom_sum, density_exact
 from .graphons import StepGraphon
-from .graphs import LabeledMultigraph, subdivide_edge
+from .graphs import LabeledMultigraph, _without_one_copy, multigraph, subdivide_edge
 
 SYMMETRY_TOL = 1e-14
 GROUP_TOL = 1e-9
 
 
 def kernel_matrix(graphon: StepGraphon) -> np.ndarray:
-    """D^{1/2} * values * D^{1/2} with D = diag(weights); exactly symmetric."""
-    d = np.sqrt(np.array([float(w) for w in graphon.weights]))
-    v = np.array([[float(x) for x in row] for row in graphon.values])
-    return np.outer(d, d) * v
+    """D^{1/2} * values * D^{1/2} with D = diag(weights); exactly symmetric.
+
+    Weights and values are correctly rounded Python-int quotients of the
+    integer tables, as float(Fraction) would give them.
+    """
+    r, nw, q, nv = graphon.integer_tables
+    d = np.sqrt([w / r for w in nw])
+    return np.outer(d, d) * (nv / q).astype(float)
 
 
 @dataclass(eq=False)
@@ -163,7 +167,7 @@ def _spectral_coefficients(
     table = _hom_sum(remainder.node_count, remainder.edges, nv, nw, {}, kept)
     scale = r ** (remainder.node_count - 2) * q**remainder.total_multiplicity
     tprime = (table.astype(object) / scale).astype(float)
-    d = np.sqrt(np.array([float(w) for w in graphon.weights]))
+    d = np.sqrt([w / r for w in nw])
     core = np.outer(d, d) * tprime
     spectrum = eigendecompose(kernel_matrix(graphon))
     coeffs = [
@@ -198,22 +202,6 @@ def _group_eigenvalues(
         start = stop
     groups.sort(key=lambda g: (-abs(g.eigenvalue), -g.eigenvalue))
     return tuple(groups)
-
-
-def _remove_one_copy(
-    motif: LabeledMultigraph, pair: tuple[int, int]
-) -> LabeledMultigraph:
-    u, v = pair
-    edges = []
-    removed = False
-    for a, b, m in motif.edges:
-        if not removed and (a, b) == (u, v):
-            removed = True
-            if m > 1:
-                edges.append((a, b, m - 1))
-        else:
-            edges.append((a, b, m))
-    return LabeledMultigraph(motif.node_count, tuple(edges), motif.labels)
 
 
 def multigraph_from_simple_check(
@@ -253,10 +241,8 @@ def multigraph_from_simple_check(
     base1 = density_exact(motif, h1).exact
     base2 = density_exact(motif, h2).exact
     assert base1 is not None and base2 is not None
-    remainder = LabeledMultigraph(
-        motif.node_count,
-        _remove_one_copy(motif, pair).edges,
-        ((pair[0], 1), (pair[1], 2)),
+    remainder = multigraph(
+        motif.node_count, _without_one_copy(motif, *pair), [(pair[0], 1), (pair[1], 2)]
     )
     evs1, coeffs1 = _spectral_coefficients(h1, remainder)
     evs2, coeffs2 = _spectral_coefficients(h2, remainder)

@@ -1,8 +1,11 @@
+import collections
+import hashlib
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphlim import (
     GraphParseError,
@@ -64,6 +67,53 @@ def test_serialize_matches_documented_format():
 @given(multigraphs(max_nodes=6, max_labels=3))
 def test_serialize_parse_round_trip(g):
     assert parse_graph(serialize_graph(g)) == g
+
+
+def _normal_edges(entries):
+    """Reference normal form: u < v, one entry per pair, multiplicities
+    summed, pairs with a zero total dropped, pairs sorted."""
+    total = collections.Counter()
+    for u, v, m in entries:
+        total[min(u, v), max(u, v)] += m
+    return tuple((u, v, m) for (u, v), m in sorted(total.items()) if m)
+
+
+@given(multigraphs(max_labels=3), multigraphs(max_labels=3), st.randoms(use_true_random=False))
+def test_builders_emit_the_normal_form(g, h, rnd):
+    # product: a node of h whose label g has goes to g's node, the rest are appended
+    g_node = {lab: node for node, lab in g.labels}
+    h_label = h.label_map
+    fresh = itertools.count(g.node_count)
+    to = [
+        g_node[h_label[x]] if h_label.get(x) in g_node else next(fresh)
+        for x in range(h.node_count)
+    ]
+    glued = product(g, h)
+    assert glued.edges == _normal_edges([*g.edges, *((to[u], to[v], m) for u, v, m in h.edges)])
+    assert glued.node_count == next(fresh)
+
+    # subdivide_edge: one copy of (u, v) becomes a path through k new nodes
+    for u, v, _ in g.edges:
+        for k in range(4):
+            path = [u, *range(g.node_count, g.node_count + k), v]
+            steps = [(a, b, 1) for a, b in zip(path, path[1:])]
+            expected = _normal_edges([*g.edges, (v, u, -1), *steps])
+            sub = subdivide_edge(g, (v, u), k)
+            assert (sub.node_count, sub.edges, sub.labels) == (g.node_count + k, expected, g.labels)
+
+    # parse_graph: shuffled lines, reversed endpoints, multiplicities split
+    entries = []
+    for u, v, m in g.edges:
+        while m:
+            part = rnd.randint(1, m)
+            m -= part
+            entries.append((v, u, part) if rnd.random() < 0.5 else (u, v, part))
+    rnd.shuffle(entries)
+    lines = [f"{u} {v}" if m == 1 and rnd.random() < 0.5 else f"{u} {v} {m}" for u, v, m in entries]
+    labels = [f"label {node} {lab}" for node, lab in rnd.sample(g.labels, len(g.labels))]
+    parsed = parse_graph("\n".join([f"{g.node_count} {len(lines)}", *lines, *labels]))
+    assert parsed.edges == _normal_edges(entries)
+    assert parsed == g
 
 
 def test_product_glues_shared_labels():
@@ -147,6 +197,11 @@ def test_enumeration_counts_and_order():
     assert threes[1:] == [path_graph(3), K3]
     assert len(list(enumerate_simple_graphs(4))) == 9
     assert len(list(enumerate_simple_graphs(5))) == 30
+    sixes = list(enumerate_simple_graphs(6))
+    assert len(sixes) == 142
+    # pins every representative and the order they come in
+    digest = hashlib.sha256("".join(map(serialize_graph, sixes)).encode()).hexdigest()
+    assert digest == "0787ae7d890a82b959827c7ce7f7864236f04512bbaa2f276db285f5b52cb0b2"
     with pytest.raises(ValueError):
         list(enumerate_simple_graphs(8))
 

@@ -181,6 +181,9 @@ def test_describe_graph_names():
     assert describe_graph(star_graph(4)) == "S4"
     paw = multigraph(4, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (2, 3, 1)])
     assert describe_graph(paw) == "g4n4e"
+    two_triangles = multigraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert describe_graph(two_triangles) == "g6n6e"
+    assert describe_graph(cycle_graph(6)) == "C6"
 
 
 def test_to_csv_layout():
