@@ -51,7 +51,10 @@ def _emit(text: str, out: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc}") from exc
 
 
 def _parse_anchor_spec(spec: str) -> dict[int, int]:
@@ -83,9 +86,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
         kernel = BlackBoxKernel.from_step_graphon(graphon)
         print(density_mc(motif, kernel, args.mc, args.seed))
     else:
-        value = density_exact(motif, graphon).exact
-        assert value is not None
-        print(format_rational(value))
+        print(format_rational(density_exact(motif, graphon)))
     return 0
 
 
@@ -93,9 +94,7 @@ def _cmd_anchored_density(args: argparse.Namespace) -> int:
     motif = _load_graph(args.graph)
     graphon = _load_graphon(args.graphon)
     anchors = _parse_anchor_spec(args.anchors)
-    value = anchored_density(motif, graphon, anchors).exact
-    assert value is not None
-    print(format_rational(value))
+    print(format_rational(anchored_density(motif, graphon, anchors)))
     return 0
 
 
@@ -114,11 +113,8 @@ def _cmd_weak_iso(args: argparse.Namespace) -> int:
         if found is None:
             print(f"no distinguishing graph with up to {args.distinguisher_max_nodes} nodes")
         else:
-            d1 = density_exact(found, h1).exact
-            d2 = density_exact(found, h2).exact
-            assert d1 is not None and d2 is not None
-            print(f"distinguishing graph (densities {format_rational(d1)} vs "
-                  f"{format_rational(d2)}):")
+            d1, d2 = (format_rational(density_exact(found, h)) for h in (h1, h2))
+            print(f"distinguishing graph (densities {d1} vs {d2}):")
             sys.stdout.write(serialize_graph(found))
     return 0
 

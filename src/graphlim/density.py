@@ -25,15 +25,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .graphons import BlackBoxKernel, StepGraphon
 from .graphs import Edge, LabeledMultigraph, product, unlabel
-from .rational import format_float, format_rational
+from .rational import format_float
 from .streams import DOMAIN_MC_COORDS, philox_stream
 
 MAX_MOTIF_NODES = 8
@@ -54,32 +53,15 @@ MAX_MC_BYTES = 1 << 30
 AnchorAssignment = Mapping[int, int]
 
 
-@dataclass(frozen=True)
-class DensityValue:
-    """Either an exact rational or a (mean, stderr, samples) estimate."""
+class Estimate(NamedTuple):
+    """A Monte Carlo estimate: sample mean, its standard error, sample count."""
 
-    exact: Fraction | None = None
-    estimate: tuple[float, float, int] | None = None
-
-    def __post_init__(self) -> None:
-        if (self.exact is None) == (self.estimate is None):
-            raise ValueError("exactly one of exact/estimate must be present")
-        if self.estimate is not None and self.estimate[1] < 0:
-            raise ValueError("stderr must be nonnegative")
-
-    @classmethod
-    def from_exact(cls, value: Fraction) -> "DensityValue":
-        return cls(exact=value)
-
-    @classmethod
-    def from_estimate(cls, mean: float, stderr: float, samples: int) -> "DensityValue":
-        return cls(estimate=(mean, stderr, samples))
+    mean: float
+    stderr: float
+    samples: int
 
     def __str__(self) -> str:
-        if self.exact is not None:
-            return format_rational(self.exact)
-        mean, stderr, samples = self.estimate  # type: ignore[misc]
-        return f"{format_float(mean)} ± {format_float(stderr)} ({samples})"
+        return f"{format_float(self.mean)} ± {format_float(self.stderr)} ({self.samples})"
 
 
 def _require_unlabeled(graph: LabeledMultigraph, op: str) -> None:
@@ -233,7 +215,7 @@ def adjacency_density(motif: LabeledMultigraph, adjacency: np.ndarray) -> Fracti
     return Fraction(hom, n**motif.node_count)
 
 
-def density_graph(motif: LabeledMultigraph, graph: LabeledMultigraph) -> DensityValue:
+def density_graph(motif: LabeledMultigraph, graph: LabeledMultigraph) -> Fraction:
     """hom(F,G) / n^|V(F)| for a simple unlabeled host graph G.
 
     A multigraph motif is allowed: against 0/1 adjacency, multiplicities
@@ -247,7 +229,7 @@ def density_graph(motif: LabeledMultigraph, graph: LabeledMultigraph) -> Density
     upper = np.zeros(n * n, dtype=np.uint8)
     upper[[u * n + v for u, v, _ in graph.edges]] = 1
     upper = upper.reshape(n, n)
-    return DensityValue.from_exact(adjacency_density(motif, upper + upper.T))
+    return adjacency_density(motif, upper + upper.T)
 
 
 # -- exact evaluation in a step graphon --------------------------------------
@@ -262,11 +244,11 @@ def _check_blocks(graphon: StepGraphon) -> None:
 
 def _graphon_density(
     motif: LabeledMultigraph, graphon: StepGraphon, pinned: Mapping[int, int]
-) -> DensityValue:
+) -> Fraction:
     r, nw, q, nv = graphon.integer_tables
     total = _hom_sum(motif.node_count, motif.edges, nv, nw, pinned)
     scale = r ** (motif.node_count - len(pinned)) * q**motif.total_multiplicity
-    return DensityValue.from_exact(Fraction(total, scale))
+    return Fraction(total, scale)
 
 
 def density_exact(
@@ -274,7 +256,7 @@ def density_exact(
     graphon: StepGraphon,
     *,
     node_limit: int = MAX_MOTIF_NODES,
-) -> DensityValue:
+) -> Fraction:
     """Sum over all block maps of edge-value products times node weights."""
     _require_unlabeled(motif, "density_exact")
     _check_size(motif, node_limit)
@@ -299,7 +281,7 @@ def _check_anchor_assignment(
 
 def anchored_density(
     motif: LabeledMultigraph, graphon: StepGraphon, anchors: AnchorAssignment
-) -> DensityValue:
+) -> Fraction:
     """Density with labeled nodes pinned to anchor blocks.
 
     Pinned nodes contribute no weight factor; the sum ranges over the
@@ -317,7 +299,7 @@ def anchored_density(
 
 def mixed_moment(
     graphon: StepGraphon, anchors: Sequence[int], exponents: Sequence[int]
-) -> DensityValue:
+) -> Fraction:
     """E(prod_i W(X, a_i)^{k_i}) over a weight-distributed block X.
 
     This is the density of the star whose leaf i is pinned at block a_i and
@@ -385,7 +367,7 @@ def _fsum(values: np.ndarray) -> float:
 
 def density_mc(
     motif: LabeledMultigraph, kernel: BlackBoxKernel, samples: int, seed: int
-) -> DensityValue:
+) -> Estimate:
     """Plain Monte Carlo over i.i.d. uniform node coordinates.
 
     Sample s uses coordinates number s*k .. s*k+k-1 of the (seed,
@@ -394,8 +376,9 @@ def density_mc(
     The samples run in chunks of _FSUM_CHUNK, each drawn by one call on the
     one generator, which continues the stream where the last call stopped.
     In a chunk, each node's coordinates go through kernel.points once, and
-    each edge through kernel.evaluator once, in edge order. The samples x k
-    float coordinates drawn must fit MAX_MC_BYTES.
+    each edge through kernel.evaluator once, in edge order; a pair that does
+    not take arrays is lifted elementwise by np.frompyfunc into the same loop.
+    The samples x k float coordinates drawn must fit MAX_MC_BYTES.
     """
     _require_unlabeled(motif, "density_mc")
     _check_size(motif)
@@ -415,27 +398,18 @@ def density_mc(
     )
     values = np.ones(samples)
     ev, points = kernel.evaluator, kernel.points
-    if _vectorized(kernel):
-        for start, coords in chunks:
-            cols = [points(coords[:, x]) for x in range(k)]
-            out = values[start : start + len(coords)]
-            for u, v, m in motif.edges:
-                out *= np.asarray(ev(cols[u], cols[v]), dtype=float) ** m
-    else:
-        for start, coords in chunks:
-            for s, row in enumerate(coords, start):
-                pts = [points(x) for x in row]
-                acc = 1.0
-                for u, v, m in motif.edges:
-                    acc *= float(ev(pts[u], pts[v])) ** m
-                    if acc == 0.0:
-                        break
-                values[s] = acc
+    if not _vectorized(kernel):
+        ev, points = np.frompyfunc(ev, 2, 1), np.frompyfunc(points, 1, 1)
+    for start, coords in chunks:
+        cols = [points(coords[:, x]) for x in range(k)]
+        out = values[start : start + len(coords)]
+        for u, v, m in motif.edges:
+            out *= np.asarray(ev(cols[u], cols[v]), dtype=float) ** m
     mean = _fsum(values) / samples
     values -= mean
     var = _fsum(np.square(values, out=values)) / (samples - 1)
     stderr = math.sqrt(var / samples)
-    return DensityValue.from_estimate(mean, stderr, samples)
+    return Estimate(mean, stderr, samples)
 
 
 # -- the gluing identity --------------------------------------------------------
@@ -458,7 +432,7 @@ def product_identity_check(
     if k > MAX_MOTIF_NODES:
         raise ValueError(f"{k} labels exceed the limit {MAX_MOTIF_NODES}")
     glued = unlabel(product(f1, f2))
-    lhs = density_exact(glued, graphon, node_limit=glued.node_count).exact
+    lhs = density_exact(glued, graphon, node_limit=glued.node_count)
     r, nw, q, nv = graphon.integer_tables
     axes = list(range(k))
     operands: list = [item for i in axes for item in (np.array(nw, dtype=object), [i])]
@@ -469,5 +443,4 @@ def product_identity_check(
         operands += [np.asarray(table, dtype=object), axes]
     scale = r**glued.node_count * q**glued.total_multiplicity
     rhs = Fraction(int(np.einsum(*operands, [])), scale)
-    assert lhs is not None
     return lhs, rhs

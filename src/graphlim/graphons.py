@@ -218,12 +218,11 @@ class BlackBoxKernel:
     node's column and the evaluator once per edge. The default points is the
     identity, so an evaluator of coordinates needs nothing else. The pair
     may accept numpy arrays elementwise (the estimator probes for that and
-    falls back to scalar calls), but only scalar behavior is part of the
-    contract.
+    otherwise lifts it with np.frompyfunc), but only scalar behavior is part
+    of the contract.
     """
 
     evaluator: Callable[[Any, Any], float]
-    bound: float = 1.0
     points: Callable[[Any], Any] = _identity
 
     def __call__(self, x, y):
@@ -249,7 +248,6 @@ class BlackBoxKernel:
         cuts = np.array([_ceil_double(c) for c in graphon.cumulative()[1:-1]])
         _, _, q, nv = graphon.integer_tables
         flat = (nv / q).astype(float).ravel()
-        bound = float(np.abs(flat).max())
         cells = 1 << (6 + (b - 1).bit_length())
         edges = np.arange(cells + 1) / cells
         first = np.searchsorted(cuts, edges[:-1], side="right")
@@ -271,7 +269,7 @@ class BlackBoxKernel:
         def evaluator(bx, by):
             return flat.take(bx * b + by)
 
-        return cls(evaluator=evaluator, bound=bound, points=points)
+        return cls(evaluator=evaluator, points=points)
 
 
 # -- file format -------------------------------------------------------------
@@ -289,6 +287,8 @@ def parse_graphon(text: str) -> StepGraphon:
     values = data["values"]
     if not isinstance(weights, list) or not isinstance(values, list):
         raise ValueError('"weights" and "values" must be arrays')
+    if not all(isinstance(row, list) for row in values):
+        raise ValueError('"values" must be an array of arrays')
     rng = data.get("range")
     if rng is not None:
         if not isinstance(rng, list) or len(rng) != 2:

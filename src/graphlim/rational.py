@@ -37,8 +37,8 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def format_float(value: float, digits: int = 12) -> str:
-    """Positional notation with a fixed count of significant digits.
+def format_float(value: float) -> str:
+    """Positional notation with 12 significant digits.
 
     Trailing zeros are kept so repeated runs emit byte-identical output.
     """
@@ -47,8 +47,8 @@ def format_float(value: float, digits: int = 12) -> str:
         return "nan"
     sign = "-" if value < 0 else ""
     if value == 0.0:
-        return "0." + "0" * digits
-    mantissa, _, exponent = f"{abs(value):.{digits - 1}e}".partition("e")
+        return "0." + "0" * 12
+    mantissa, _, exponent = f"{abs(value):.11e}".partition("e")
     exp = int(exponent)
     ds = mantissa.replace(".", "")
     if exp >= 0:

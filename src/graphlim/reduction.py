@@ -332,7 +332,7 @@ def find_distinguishing_graph(
     proof of weak isomorphism; use weak_iso for the decision.
     """
     for f in enumerate_simple_graphs(max_nodes):
-        if density_exact(f, h1).exact != density_exact(f, h2).exact:
+        if density_exact(f, h1) != density_exact(f, h2):
             return f
     return None
 

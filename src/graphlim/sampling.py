@@ -20,6 +20,7 @@ peak, must fit MAX_SAMPLE_BYTES.
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -151,19 +152,9 @@ class ConvergenceReport:
     def medians(self) -> list[Fraction]:
         return [s.median_err for s in self.stats]
 
-    def monotone_decreasing(self, *, strict: bool = False) -> bool:
+    def monotone_decreasing(self) -> bool:
         meds = self.medians()
-        if strict:
-            return all(a > b for a, b in zip(meds, meds[1:]))
         return all(a >= b for a, b in zip(meds, meds[1:]))
-
-
-def _exact_median(values: list[Fraction]) -> Fraction:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def convergence_experiment(
@@ -193,8 +184,7 @@ def convergence_experiment(
     for n in sizes:
         if n < motif.node_count:
             raise ValueError(f"size {n} is smaller than the motif ({motif.node_count})")
-    target = density_exact(motif, graphon).exact
-    assert target is not None
+    target = density_exact(motif, graphon)
     child_seeds = [
         int(s)
         for s in philox_stream(seed, DOMAIN_CHILD_SEEDS).integers(
@@ -209,7 +199,7 @@ def convergence_experiment(
         for errs_at, n in zip(errs, sizes):
             errs_at.append(abs(adjacency_density(motif, adjacency[:n, :n]) - target))
     stats = tuple(
-        SizeStats(n, reps, _exact_median(errs_at), max(errs_at))
+        SizeStats(n, reps, statistics.median(errs_at), max(errs_at))
         for n, errs_at in zip(sizes, errs)
     )
     return ConvergenceReport(motif, target, stats)

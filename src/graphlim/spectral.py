@@ -234,13 +234,11 @@ def multigraph_from_simple_check(
         sub = subdivide_edge(motif, pair, k - 1)
         if sub.node_count > max_simple_nodes:
             break
-        d1 = density_exact(sub, h1, node_limit=max_simple_nodes).exact
-        d2 = density_exact(sub, h2, node_limit=max_simple_nodes).exact
-        assert d1 is not None and d2 is not None
+        d1 = density_exact(sub, h1, node_limit=max_simple_nodes)
+        d2 = density_exact(sub, h2, node_limit=max_simple_nodes)
         rows.append(SubdivisionRow(k, sub.node_count, sub.is_simple, d1, d2))
-    base1 = density_exact(motif, h1).exact
-    base2 = density_exact(motif, h2).exact
-    assert base1 is not None and base2 is not None
+    base1 = density_exact(motif, h1)
+    base2 = density_exact(motif, h2)
     remainder = multigraph(
         motif.node_count, _without_one_copy(motif, *pair), [(pair[0], 1), (pair[1], 2)]
     )

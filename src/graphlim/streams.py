@@ -1,8 +1,9 @@
 """Seeded Philox streams and exact-threshold categorical draws.
 
 Every random path in the package pulls from Philox (counter based, 64-bit,
-platform independent) through `philox_stream`. The key is derived from
-(seed, domain, index), so distinct uses of one user seed never collide and
+platform independent) through `philox_stream`. The key is the pair
+(seed, domain): the seed as the first 64-bit word and the domain in the top
+bits of the second, so distinct uses of one user seed never collide, and
 any single variate can be located without generating its predecessors.
 
 Stream-splitting rule, documented for reproducibility:
@@ -39,13 +40,9 @@ _INDEX_BITS = 56
 RESOLUTION = 1 << 63
 
 
-def philox_stream(seed: int, domain: int, index: int = 0) -> np.random.Generator:
-    """The (seed, domain, index) stream; equal keys give equal streams."""
-    if not 0 <= index < 1 << _INDEX_BITS:
-        raise ValueError("stream index out of range")
-    key = np.array(
-        [seed & _MASK64, ((domain << _INDEX_BITS) | index) & _MASK64], dtype=np.uint64
-    )
+def philox_stream(seed: int, domain: int) -> np.random.Generator:
+    """The (seed, domain) stream; equal keys give equal streams."""
+    key = np.array([seed & _MASK64, (domain << _INDEX_BITS) & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -200,6 +200,13 @@ def test_exit_codes(files, capsys):
     capsys.readouterr()
 
 
+def test_unwritable_output_is_a_domain_error(files, capsys):
+    missing = files["dir"] / "missing" / "out.json"
+    for target in (missing, files["dir"]):
+        assert run(["twin-reduce", files["b.json"], "-o", str(target)]) == 1
+        assert f"error: cannot write {target}:" in capsys.readouterr().err
+
+
 def test_malformed_graph_reports_reason(files, capsys):
     bad = files["dir"] / "bad.txt"
     bad.write_text("2 1\n0 0\n")

@@ -115,7 +115,6 @@ def test_black_box_kernel_matches_step_function():
     k = BlackBoxKernel.from_step_graphon(B)
     assert k(0.1, 0.9) == 1.0
     assert k(0.6, 0.9) == 0.0
-    assert k.bound == 1.0
 
 
 def test_step_kernel_blocks_agree_with_block_of_at_decimal_boundaries():
@@ -217,3 +216,10 @@ def test_step_graphon_token_rules_hold_for_repeated_tokens():
         parse_graphon('{"weights": ["1/2", "1/2"], "values": [["1", "0"], ["0", [1]]]}')
     h = step_graphon([1, 0], [[1, "1"], [" 1", F(1)]])
     assert h.values == ((F(1), F(1)), (F(1), F(1)))
+
+
+def test_parse_graphon_rejects_rows_that_are_not_arrays():
+    # a string row would otherwise be read one character per cell
+    for values in ('["01", "10"]', '[["0", "1"], "10"]', "[1, 2]"):
+        with pytest.raises(ValueError, match='"values" must be an array of arrays'):
+            parse_graphon(f'{{"weights": ["1/2", "1/2"], "values": {values}}}')

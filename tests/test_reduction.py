@@ -134,7 +134,7 @@ def test_density_preserved_by_twin_reduce():
     for name, H in graphon_corpus().items():
         r = twin_reduce(H)
         for f in motifs:
-            assert density_exact(f, H).exact == density_exact(f, r).exact, name
+            assert density_exact(f, H) == density_exact(f, r), name
 
 
 def test_anchor_tags_examples():
@@ -306,10 +306,10 @@ def test_mixed_moment_transfer_between_reduced_forms():
         for size in (1, 2, 3):
             for anchors in itertools.product(blocks, repeat=size):
                 for exps in itertools.product((1, 2, 3), repeat=size):
-                    lhs = mixed_moment(r1, list(anchors), list(exps)).exact
+                    lhs = mixed_moment(r1, list(anchors), list(exps))
                     rhs = mixed_moment(
                         r2, [sigma[a] for a in anchors], list(exps)
-                    ).exact
+                    )
                     assert lhs == rhs, name
 
 
