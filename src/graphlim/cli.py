@@ -9,6 +9,7 @@ standard error; results to standard output or -o.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -164,7 +165,9 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The graphlim parser, built once per process: parse_args keeps no state."""
     parser = argparse.ArgumentParser(
         prog="graphlim",
         description="Exact homomorphism densities, reductions and sampling "

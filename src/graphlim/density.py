@@ -267,8 +267,10 @@ def density_exact(
 def _check_anchor_assignment(
     motif: LabeledMultigraph, anchors: AnchorAssignment, block_count: int
 ) -> dict[int, int]:
-    """Resolve node -> pinned block; every label of the motif must be anchored."""
+    """Resolve node -> pinned block; anchors and the motif's labels must match."""
     for label, block in anchors.items():
+        if label not in motif.label_set:
+            raise ValueError(f"anchored label {label} is not a label of the motif")
         if not 0 <= block < block_count:
             raise ValueError(f"anchor block {block} for label {label} out of range")
     pinned: dict[int, int] = {}
@@ -285,8 +287,9 @@ def anchored_density(
     """Density with labeled nodes pinned to anchor blocks.
 
     Pinned nodes contribute no weight factor; the sum ranges over the
-    unlabeled nodes only. With no labels and no anchors this reduces to
-    density_exact.
+    unlabeled nodes only. Every label of the motif needs an anchor, and
+    every anchor must name a label of the motif. With no labels and no
+    anchors this reduces to density_exact.
     """
     _check_size(motif)
     _check_blocks(graphon)

@@ -15,6 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import accumulate, chain
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -23,42 +24,63 @@ from .graphs import LabeledMultigraph
 from .rational import RationalLike, format_rational, parse_rational
 
 DEFAULT_RANGE = (Fraction(0), Fraction(1))
+_PLAIN_TOKENS = frozenset({str, int, Fraction})
 
 
 @dataclass(frozen=True)
 class StepGraphon:
-    weights: tuple[Fraction, ...]
-    values: tuple[tuple[Fraction, ...], ...]
+    """Block i has weight _nw[i] / _r and the kernel is _table[i][j] / _q on
+    the block-i x block-j rectangle, in lowest terms: the constructor divides
+    out common factors, so equal graphons have equal fields. Build one with
+    step_graphon; weights and values are derived views.
+    """
+
+    _r: int
+    _nw: tuple[int, ...]
+    _q: int
+    _table: tuple[tuple[int, ...], ...]
     value_range: tuple[Fraction, Fraction] = DEFAULT_RANGE
 
     def __post_init__(self) -> None:
         validate(self)
+        g = math.gcd(self._r, *self._nw)
+        if g > 1:
+            object.__setattr__(self, "_r", self._r // g)
+            object.__setattr__(self, "_nw", tuple(x // g for x in self._nw))
+        g = math.gcd(self._q, *chain.from_iterable(self._table))
+        if g > 1:
+            object.__setattr__(self, "_q", self._q // g)
+            table = tuple(tuple(x // g for x in row) for row in self._table)
+            object.__setattr__(self, "_table", table)
 
     @property
     def block_count(self) -> int:
-        return len(self.weights)
+        return len(self._nw)
+
+    @cached_property
+    def weights(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self._r) for x in self._nw)
+
+    @cached_property
+    def values(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, self._q) for x in row) for row in self._table)
 
     @cached_property
     def integer_tables(self) -> tuple[int, tuple[int, ...], int, np.ndarray]:
-        """(r, r * weights, q, q * values) with r and q the least common
-        denominators of the weights and of the values, computed once per
-        graphon. The value table is a read-only object array of Python ints.
-        """
-        r = math.lcm(*{w.denominator for w in self.weights})
-        q = math.lcm(*{v.denominator for row in self.values for v in row})
-        values = np.array(
-            [[v.numerator * (q // v.denominator) for v in row] for row in self.values],
-            dtype=object,
-        )
+        """(r, r * weights, q, q * values), r and q the least common denominators
+        of the weights and of the values; the value table is a read-only object
+        array of Python ints."""
+        values = np.array(self._table, dtype=object)
         values.flags.writeable = False
-        return r, tuple(w.numerator * (r // w.denominator) for w in self.weights), q, values
+        return self._r, self._nw, self._q, values
+
+    @cached_property
+    def _boundaries(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self._r) for c in accumulate(self._nw, initial=0))
 
     def cumulative(self) -> tuple[Fraction, ...]:
         """Block boundaries 0 = c_0 <= c_1 <= ... <= c_B = 1."""
-        cum = [Fraction(0)]
-        for w in self.weights:
-            cum.append(cum[-1] + w)
-        return tuple(cum)
+        return self._boundaries
 
 
 def step_graphon(
@@ -68,61 +90,62 @@ def step_graphon(
 ) -> StepGraphon:
     """Coerce loose rational data (ints, "p/q" strings) into a StepGraphon.
 
-    Each distinct token is parsed once; the memo is keyed by type as well, so
-    True is still rejected after an equal 1 has been accepted.
+    Each distinct token is parsed once, in order of first appearance, and
+    each cell filled with its token's int by lookup. Equal tokens share a
+    parse only if they are str, int or Fraction: a table holding another
+    type, such as a bool equal to 1, is first checked token by token.
     """
-    memo: dict[tuple[type, object], Fraction] = {}
 
-    def parse(x: RationalLike) -> Fraction:
-        key = (type(x), x)
-        try:
-            return memo[key]
-        except KeyError:
-            memo[key] = value = parse_rational(x)
-            return value
-        except TypeError:  # unhashable, hence not a rational either
-            return parse_rational(x)
+    def scaled(rows: Sequence[Sequence[RationalLike]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        cells = list(chain.from_iterable(rows))
+        if not set(map(type, cells)) <= _PLAIN_TOKENS:
+            for x in cells:
+                parse_rational(x)
+        parsed = [(x, parse_rational(x)) for x in dict.fromkeys(cells)]
+        den = math.lcm(*(f.denominator for _, f in parsed))
+        ints = {x: f.numerator * (den // f.denominator) for x, f in parsed}
+        return den, tuple(tuple(map(ints.__getitem__, row)) for row in rows)
 
-    w = tuple(parse(x) for x in weights)
-    v = tuple(tuple(parse(x) for x in row) for row in values)
+    r, (nw,) = scaled([weights])
+    q, table = scaled(values)
     if value_range is None:
         rng = DEFAULT_RANGE
     else:
         rng = (parse_rational(value_range[0]), parse_rational(value_range[1]))
-    return StepGraphon(w, v, rng)
+    return StepGraphon(r, nw, q, table, rng)
 
 
 def validate(graphon: StepGraphon) -> None:
     """Exact invariant check; raises ValueError with a distinct message per rule.
 
-    Symmetry and range are checked on the cached integer value table; only
-    a failing check rescans the values, in row-major order, to name the first
+    Every rule is checked on the integer tables; only a failing symmetry or
+    range check rescans the table, in row-major order, to name the first
     offending entry.
     """
-    w, v = graphon.weights, graphon.values
+    r, nw, q, table = graphon._r, graphon._nw, graphon._q, graphon._table
     lo, hi = graphon.value_range
     if lo > hi:
         raise ValueError(f"value_range is empty: [{lo}, {hi}]")
-    if not w:
+    if not nw:
         raise ValueError("graphon needs at least one block")
-    if any(x < 0 for x in w):
+    if any(x < 0 for x in nw):
         raise ValueError("weights must be nonnegative")
-    if sum(w) != 1:
-        raise ValueError(f"weights must sum to 1, got {sum(w)}")
-    b = len(w)
-    if len(v) != b or any(len(row) != b for row in v):
+    if sum(nw) != r:
+        raise ValueError(f"weights must sum to 1, got {Fraction(sum(nw), r)}")
+    b = len(nw)
+    if len(table) != b or any(len(row) != b for row in table):
         raise ValueError(f"values must be a {b}x{b} matrix")
-    _, _, q, nv = graphon.integer_tables
-    if not (nv == nv.T).all():
-        for i in range(b):
-            for j in range(i + 1, b):
-                if v[i][j] != v[j][i]:
-                    raise ValueError(f"values asymmetric at ({i},{j})")
-    if not (lo * q <= nv.min() and nv.max() <= hi * q):
+    if table != tuple(zip(*table)):
+        i, j = next(
+            (i, j) for i in range(b) for j in range(i + 1, b) if table[i][j] != table[j][i]
+        )
+        raise ValueError(f"values asymmetric at ({i},{j})")
+    if not (lo * q <= min(map(min, table)) and max(map(max, table)) <= hi * q):
         for i in range(b):
             for j in range(b):
-                if not lo <= v[i][j] <= hi:
-                    raise ValueError(f"value {v[i][j]} at ({i},{j}) outside range [{lo}, {hi}]")
+                if not lo * q <= table[i][j] <= hi * q:
+                    v = Fraction(table[i][j], q)
+                    raise ValueError(f"value {v} at ({i},{j}) outside range [{lo}, {hi}]")
 
 
 def from_graph(graph: LabeledMultigraph) -> StepGraphon:
@@ -132,36 +155,31 @@ def from_graph(graph: LabeledMultigraph) -> StepGraphon:
     if not graph.is_unlabeled:
         raise ValueError("from_graph needs an unlabeled graph")
     n = graph.node_count
-    w = Fraction(1, n)
-    vals = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for u, v, _ in graph.edges:
-        vals[u][v] = vals[v][u] = Fraction(1)
-    return StepGraphon((w,) * n, tuple(tuple(row) for row in vals))
+        rows[u][v] = rows[v][u] = 1
+    return StepGraphon(n, (1,) * n, 1, tuple(map(tuple, rows)))
 
 
 def constant(
     c: RationalLike, value_range: tuple[RationalLike, RationalLike] | None = None
 ) -> StepGraphon:
-    cf = parse_rational(c)
-    return step_graphon([1], [[cf]], value_range)
+    return step_graphon([1], [[c]], value_range)
 
 
 def blowup(graphon: StepGraphon, k: int) -> StepGraphon:
     """Split every block into k equal copies; copy c of block i sits at c*B+i.
 
     The result is a pull-back of the original along a measure preserving
-    map, hence weakly isomorphic to it (every density is preserved).
+    map, hence weakly isomorphic to it (every density is preserved): weights
+    n_i over r*k, and the value table tiled k x k.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     if k == 1:
         return graphon
-    b = graphon.block_count
-    w = tuple(graphon.weights[i % b] / k for i in range(b * k))
-    v = tuple(
-        tuple(graphon.values[i % b][j % b] for j in range(b * k)) for i in range(b * k)
-    )
-    return StepGraphon(w, v, graphon.value_range)
+    table = tuple(row * k for row in graphon._table) * k
+    return StepGraphon(graphon._r * k, graphon._nw * k, graphon._q, table, graphon.value_range)
 
 
 def affine_rescale(graphon: StepGraphon, a: RationalLike, b: RationalLike) -> StepGraphon:
@@ -171,8 +189,11 @@ def affine_rescale(graphon: StepGraphon, a: RationalLike, b: RationalLike) -> St
         raise ValueError("a must be nonzero")
     lo, hi = graphon.value_range
     ends = sorted((af * lo + bf, af * hi + bf))
-    v = tuple(tuple(af * x + bf for x in row) for row in graphon.values)
-    return StepGraphon(graphon.weights, v, (ends[0], ends[1]))
+    # with a = s/d and b = t/d, a*x/q + b = (s*x + t*q) / (d*q)
+    d, q = math.lcm(af.denominator, bf.denominator), graphon._q
+    s, tq = int(af * d), int(bf * d) * q
+    table = tuple(tuple(s * x + tq for x in row) for row in graphon._table)
+    return StepGraphon(graphon._r, graphon._nw, d * q, table, (ends[0], ends[1]))
 
 
 def block_of(graphon: StepGraphon, x: Fraction) -> int:
@@ -193,8 +214,8 @@ def evaluate(graphon: StepGraphon, x, y) -> Fraction:
     Floats convert exactly (they are dyadic rationals), so the block
     convention has no rounding ambiguity.
     """
-    xf, yf = Fraction(x), Fraction(y)
-    return graphon.values[block_of(graphon, xf)][block_of(graphon, yf)]
+    i, j = block_of(graphon, Fraction(x)), block_of(graphon, Fraction(y))
+    return Fraction(graphon._table[i][j], graphon._q)
 
 
 def _identity(x):
@@ -311,8 +332,7 @@ def serialize_graphon(graphon: StepGraphon) -> str:
     the default, the range, written in one join: each distinct value is
     encoded once, from the symmetric integer table.
     """
-    _, _, q, table = graphon.integer_tables
-    rows = table.tolist()
+    rows, q = graphon._table, graphon._q
     token = {x: json.dumps(format_rational(Fraction(x, q))) for x in set().union(*rows)}
     rows_text = [_json_array(list(map(token.__getitem__, row)), 2) for row in rows]
     fields = {

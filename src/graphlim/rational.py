@@ -7,7 +7,7 @@ from fractions import Fraction
 
 RationalLike = Fraction | int | str
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
 def parse_rational(value: RationalLike) -> Fraction:
@@ -20,11 +20,12 @@ def parse_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
-        if not _RATIONAL_RE.match(text):
+        match = _RATIONAL_RE.match(value.strip())
+        if not match:
             raise ValueError(f"not a rational string: {value!r}")
+        numerator, denominator = match.groups()
         try:
-            return Fraction(text)
+            return Fraction(int(numerator), int(denominator or 1))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator: {value!r}") from None
     raise ValueError(f"not a rational value: {value!r}")

@@ -7,9 +7,8 @@ forms decides weak isomorphism for step graphons. Couplings between weakly
 isomorphic graphons are built from the shared reduced form, class by class.
 
 All of it computes on the integer tables of StepGraphon.integer_tables: the
-weights and values as Python ints over their least common denominators, and
-two graphons are compared at the lcm of their scales. Fractions are built
-only for the results.
+weights and values as Python ints over their least common denominators.
+Fractions are built only for the results.
 """
 
 from __future__ import annotations
@@ -124,7 +123,8 @@ def _merge_classes(graphon: StepGraphon, classes: list[list[int]]) -> StepGrapho
 
     With integer weights nw at scale r and values nv at scale q, the class
     pair (S, T) gets weight W_S / r and value
-    sum(nw_i nw_j nv_ij for i in S, j in T) / (q W_S W_T).
+    sum(nw_i nw_j nv_ij for i in S, j in T) / (q W_S W_T), which is
+    written over the common scale q L^2, L the lcm of the class weights.
     """
     r, nw, q, nv = graphon.integer_tables
     order = [b for cls in classes for b in cls]
@@ -134,12 +134,12 @@ def _merge_classes(graphon: StepGraphon, classes: list[list[int]]) -> StepGrapho
     raw = np.add.reduceat(np.add.reduceat(cells, starts, axis=0), starts, axis=1).tolist()
     del cells
     class_weight = [sum(nw[b] for b in cls) for cls in classes]
-    weights = tuple(Fraction(x, r) for x in class_weight)
-    values = tuple(
-        tuple(Fraction(x, q * ws * wt) for x, wt in zip(row, class_weight))
-        for row, ws in zip(raw, class_weight)
+    lcm = math.lcm(*class_weight)
+    lift = [lcm // w for w in class_weight]
+    table = tuple(
+        tuple(x * ls * lt for x, lt in zip(row, lift)) for row, ls in zip(raw, lift)
     )
-    return StepGraphon(weights, values, graphon.value_range)
+    return StepGraphon(r, tuple(class_weight), q * lcm * lcm, table, graphon.value_range)
 
 
 def twin_reduce(graphon: StepGraphon) -> StepGraphon:
@@ -178,7 +178,7 @@ def random_anchors(graphon: StepGraphon, m: int, seed: int) -> list[int]:
     if m == 0:
         return []
     gen = philox_stream(seed, DOMAIN_ANCHORS)
-    thresholds = weight_thresholds(graphon.weights)
+    thresholds = weight_thresholds(*graphon.integer_tables[:2])
     return [int(b) for b in draw_blocks(gen, thresholds, m)]
 
 
@@ -212,32 +212,13 @@ class WeakIsoVerdict:
             raise ValueError("exactly one of bijection/witness must be set")
 
 
-def _common_scale(
-    r1: StepGraphon, r2: StepGraphon
-) -> tuple[list[int], list[int], list[list[int]], list[list[int]]]:
-    """Weights and values of both graphons as ints at shared denominators.
-
-    Weights go to the lcm of the two weight scales, values to the lcm of the
-    two value scales; both maps preserve equality and order.
-    """
-    ra, wa, qa, va = r1.integer_tables
-    rb, wb, qb, vb = r2.integer_tables
-    r, q = math.lcm(ra, rb), math.lcm(qa, qb)
-    return (
-        [x * (r // ra) for x in wa],
-        [x * (r // rb) for x in wb],
-        (va * (q // qa)).tolist(),
-        (vb * (q // qb)).tolist(),
-    )
-
-
-def _row_profiles(weights: list[int], values: list[list[int]]) -> list[tuple]:
+def _row_profiles(weights: Sequence[int], values: list[list[int]]) -> list[tuple]:
     """Per block: its weight and the sorted (value, weight) pairs of its row."""
     return [(w, tuple(sorted(zip(row, weights)))) for w, row in zip(weights, values)]
 
 
 def _find_bijection(
-    w1: list[int], v1: list[list[int]], w2: list[int], v2: list[list[int]]
+    w1: Sequence[int], v1: list[list[int]], w2: Sequence[int], v2: list[list[int]]
 ) -> tuple[int, ...] | None:
     """Backtracking over blocks ordered by (weight, row profile)."""
     n = len(w1)
@@ -287,23 +268,26 @@ def _match_reduced(r1: StepGraphon, r2: StepGraphon) -> WeakIsoVerdict:
     Cheap invariants run first so the witness is as small as possible:
     block count, weight multiset, value multiset, then the backtracking
     search for a weight- and value-preserving block bijection. All of them
-    compare ints at a common scale.
+    compare ints: both forms are in lowest terms, so equal weight (value)
+    multisets come with equal weight (value) scales.
     """
     if r1.block_count != r2.block_count:
         return WeakIsoVerdict(
             False,
             witness=f"reduced block counts differ: {r1.block_count} vs {r2.block_count}",
         )
-    w1, w2, v1, v2 = _common_scale(r1, r2)
-    if sorted(w1) != sorted(w2):
+    ra, w1, qa, va = r1.integer_tables
+    rb, w2, qb, vb = r2.integer_tables
+    if ra != rb or sorted(w1) != sorted(w2):
         return WeakIsoVerdict(
             False,
             witness="weight multisets differ: "
             f"{[format_rational(w) for w in sorted(r1.weights)]} vs "
             f"{[format_rational(w) for w in sorted(r2.weights)]}",
         )
-    if sorted(v for row in v1 for v in row) != sorted(v for row in v2 for v in row):
+    if qa != qb or sorted(va.flat) != sorted(vb.flat):
         return WeakIsoVerdict(False, witness="value multisets differ")
+    v1, v2 = va.tolist(), vb.tolist()
     bijection = _find_bijection(w1, v1, w2, v2)
     if bijection is None:
         return WeakIsoVerdict(
@@ -402,10 +386,11 @@ def build_coupling(h1: StepGraphon, h2: StepGraphon) -> CouplingMatrix | None:
     if cq is None:
         return None
     u, map1, map2 = cq
-    # with weights n_i / r_1, n'_j / r_2 and W_c = a / b, the mass of a pair
-    # in class c is n_i n'_j b / (r_1 r_2 a)
+    # with weights n_i / r_1, n'_j / r_2 and W_c = a_c / b, the mass of a pair
+    # in class c is n_i n'_j b / (r_1 r_2 a_c)
     r1, n1 = h1.integer_tables[:2]
     r2, n2 = h2.integer_tables[:2]
+    b, nu = u.integer_tables[:2]
     members1: list[list[int]] = [[] for _ in range(u.block_count)]
     members2: list[list[int]] = [[] for _ in range(u.block_count)]
     for i, c in map1.items():
@@ -414,10 +399,10 @@ def build_coupling(h1: StepGraphon, h2: StepGraphon) -> CouplingMatrix | None:
         members2[c].append(j)
     zero = Fraction(0)
     masses = [[zero] * h2.block_count for _ in range(h1.block_count)]
-    for c, wc in enumerate(u.weights):
-        den = r1 * r2 * wc.numerator
+    for c, a in enumerate(nu):
+        den = r1 * r2 * a
         for i in members1[c]:
-            row, top = masses[i], n1[i] * wc.denominator
+            row, top = masses[i], n1[i] * b
             for j in members2[c]:
                 row[j] = Fraction(top * n2[j], den)
     return CouplingMatrix(tuple(tuple(row) for row in masses))

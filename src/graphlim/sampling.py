@@ -38,7 +38,6 @@ from .streams import (
     RESOLUTION,
     draw_blocks,
     philox_stream,
-    probability_threshold,
     weight_thresholds,
 )
 
@@ -69,14 +68,12 @@ def _thresholds(graphon: StepGraphon, n: int) -> tuple[np.ndarray, np.ndarray]:
             f"a sample on {n} nodes needs about {need} bytes, "
             f"over the budget of {MAX_SAMPLE_BYTES} bytes"
         )
-    _, _, q, nv = graphon.integer_tables
+    r, nw, q, nv = graphon.integer_tables
     if not (0 <= nv.min() and nv.max() <= q):
-        for row in graphon.values:
-            for v in row:
-                if v < 0 or v > 1:
-                    raise ValueError(f"value {v} outside [0,1] cannot be an edge probability")
-    edges = [[probability_threshold(v) for v in row] for row in graphon.values]
-    return weight_thresholds(graphon.weights), np.array(edges, dtype=np.uint64)
+        v = next(v for row in graphon.values for v in row if not 0 <= v <= 1)
+        raise ValueError(f"value {v} outside [0,1] cannot be an edge probability")
+    # floor(v * 2^63): an edge coin fires iff it is below its threshold
+    return weight_thresholds(r, nw), ((nv << 63) // q).astype(np.uint64)
 
 
 def _draw_adjacency(thresholds: tuple[np.ndarray, np.ndarray], n: int, seed: int) -> np.ndarray:

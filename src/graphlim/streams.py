@@ -22,7 +22,7 @@ Stream-splitting rule, documented for reproducibility:
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -46,25 +46,16 @@ def philox_stream(seed: int, domain: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def weight_thresholds(weights: Sequence[Fraction]) -> np.ndarray:
-    """Cumulative thresholds floor(c_i * 2^63) for exact categorical sampling.
+def weight_thresholds(r: int, weights: Sequence[int]) -> np.ndarray:
+    """Cumulative thresholds floor(c_i * 2^63) for exact categorical sampling,
+    c_i the prefix sums of the integer weights over their denominator r.
 
-    A 63-bit uniform r selects the first block with r < threshold. Zero
+    A 63-bit uniform u selects the first block with u < threshold. Zero
     weight blocks get empty intervals; exact weights 0 and 1 behave exactly.
     """
-    out = []
-    acc = Fraction(0)
-    for w in weights:
-        acc += w
-        out.append((acc.numerator << 63) // acc.denominator)
-    return np.array(out, dtype=np.uint64)
+    return np.array([(c << 63) // r for c in accumulate(weights)], dtype=np.uint64)
 
 
 def draw_blocks(gen: np.random.Generator, thresholds: np.ndarray, count: int) -> np.ndarray:
     r = gen.integers(0, RESOLUTION, size=count, dtype=np.uint64)
     return np.searchsorted(thresholds, r, side="right")
-
-
-def probability_threshold(p: Fraction) -> int:
-    """floor(p * 2^63); an edge coin r fires iff r < threshold."""
-    return (p.numerator << 63) // p.denominator

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from graphlim import StepGraphon, multigraph
+from graphlim import multigraph, step_graphon
 
 
 @st.composite
@@ -21,7 +21,7 @@ def step_graphons(draw, max_blocks: int = 4, denominator: int = 6):
         for j in range(i, b):
             v = Fraction(draw(st.integers(0, denominator)), denominator)
             values[i][j] = values[j][i] = v
-    return StepGraphon(weights, tuple(tuple(row) for row in values))
+    return step_graphon(weights, values)
 
 
 @st.composite

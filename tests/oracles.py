@@ -76,6 +76,17 @@ def brute_mixed_moment(
     return total
 
 
+def brute_blowup(
+    weights: list[Fraction], values: list[list[Fraction]], k: int
+) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """Weights and values of the k-fold blowup: copy c of block i sits at
+    c*B+i, with weight w_i / k and the values of block i."""
+    b = len(weights)
+    w = [weights[i % b] / k for i in range(b * k)]
+    v = [[values[i % b][j % b] for j in range(b * k)] for i in range(b * k)]
+    return w, v
+
+
 def brute_glued_sum(
     f1: LabeledMultigraph, f2: LabeledMultigraph, graphon: StepGraphon
 ) -> Fraction:

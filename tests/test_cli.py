@@ -3,8 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from graphlim import parse_coupling, parse_graph, parse_graphon, serialize_graph
-from graphlim.cli import run
+from graphlim import cli, parse_coupling, parse_graph, parse_graphon, serialize_graph
+from graphlim.cli import build_parser, run
 from graphlim.corpus import complete_graph
 
 BIPARTITE = """{
@@ -69,6 +69,14 @@ def test_anchored_density(files, capsys):
         ["anchored-density", "--graph", str(motif), "--graphon", files["b.json"],
          "--anchors", "1=0,1=1"]
     ) == 1
+    capsys.readouterr()
+    assert run(
+        ["anchored-density", "--graph", str(motif), "--graphon", files["b.json"],
+         "--anchors", "1=0,5=1"]
+    ) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: anchored label 5 is not a label of the motif\n"
 
 
 def test_twin_reduce_roundtrip(files, capsys):
@@ -212,3 +220,48 @@ def test_malformed_graph_reports_reason(files, capsys):
     bad.write_text("2 1\n0 0\n")
     assert run(["density", "--graph", str(bad), "--graphon", files["b.json"]]) == 1
     assert "loop" in capsys.readouterr().err
+
+
+def test_one_parser_serves_a_sequence_of_commands(files, capsys, monkeypatch):
+    """Commands run back to back in one process through the one parser print,
+    write and exit exactly as each does through a freshly built parser."""
+    out = files["dir"] / "out.json"
+    motif = files["dir"] / "labeled.txt"
+    motif.write_text("2 1\n0 1\nlabel 0 1\n")
+    calls = [
+        ["density", "--graph", files["k3.txt"], "--graphon", files["b.json"]],
+        ["blowup", files["b.json"], "--k", "2", "-o", str(out)],
+        ["blowup", files["b.json"], "--k", "3"],  # -o back at its default
+        ["density", "--graph", files["k3.txt"]],  # usage error
+        ["twin-reduce", str(out)],
+        ["quotient", files["b.json"], "--partition", "0|0"],  # domain error
+        ["blowup", files["b.json"], "--k", "two"],  # usage error
+        ["anchored-density", "--graph", str(motif), "--graphon", files["b.json"],
+         "--anchors", "1=1"],
+        ["anchored-density", "--graph", str(motif), "--graphon", files["b.json"],
+         "--anchors", "1=0,5=1"],  # domain error
+        ["density", "--graph", files["c4.txt"], "--graphon", files["half.json"],
+         "--mc", "500", "--seed", "3"],
+        ["density", "--graph", files["c4.txt"], "--graphon", files["b.json"]],
+        ["couple", files["b.json"], files["half.json"]],  # domain error
+        ["sample", files["b.json"], "--n", "6", "--seed", "2"],
+        ["weak-iso", files["b.json"], str(out)],
+        ["spectrum", files["b.json"]],
+        [],  # usage error
+        ["density", "--help"],
+    ]
+
+    def results():
+        got = []
+        for argv in calls:
+            code = run(argv)
+            captured = capsys.readouterr()
+            got.append((code, captured.out, captured.err))
+        return got
+
+    shared, written = results(), out.read_text()
+    assert build_parser() is build_parser()
+    assert [code for code, _, _ in shared] == [0, 0, 0, 2, 0, 1, 2, 0, 1, 0, 0, 1, 0, 0, 0, 2, 0]
+    assert shared[2][1].startswith("{") and shared[2][1] != written
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    assert results() == shared and out.read_text() == written

@@ -141,6 +141,11 @@ def test_anchored_density_validation():
         anchored_density(e1, B, {})
     with pytest.raises(ValueError, match="out of range"):
         anchored_density(e1, B, {1: 5})
+    # an anchor for a label the motif lacks is an error, not ignored
+    with pytest.raises(ValueError, match=r"^anchored label 5 is not a label of the motif$"):
+        anchored_density(e1, B, {1: 0, 5: 1})
+    with pytest.raises(ValueError, match="anchored label 1 is not a label"):
+        anchored_density(multigraph(2, [(0, 1, 1)]), B, {1: 0})
 
 
 @given(multigraphs(max_nodes=5, max_labels=3), step_graphons(max_blocks=3))

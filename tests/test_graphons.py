@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction as F
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from graphlim import (
     BlackBoxKernel,
-    StepGraphon,
+    BlockPartition,
     affine_rescale,
     block_of,
     blowup,
@@ -17,6 +18,7 @@ from graphlim import (
     from_graph,
     multigraph,
     parse_graphon,
+    quotient,
     serialize_graphon,
     step_graphon,
     validate,
@@ -24,6 +26,7 @@ from graphlim import (
 from graphlim.corpus import complete_graph, graphon_corpus
 
 from conftest import step_graphons
+from oracles import brute_blowup
 
 B = step_graphon(["1/2", "1/2"], [["0", "1"], ["1", "0"]])
 
@@ -147,7 +150,7 @@ def _weights(draw):
 @settings(max_examples=150, deadline=None)
 def test_step_kernel_points_equal_block_of(weights, xs):
     b = len(weights)
-    h = StepGraphon(tuple(weights), ((F(0),) * b,) * b)
+    h = step_graphon(weights, [[0] * b] * b)
     near = set(xs)
     for c in h.cumulative():
         d = float(c)
@@ -181,6 +184,101 @@ def test_integer_tables_cached_outside_equality():
         values[0, 0] = 7
     fresh = step_graphon(["1/3", "2/3"], [["1/2", "1/4"], ["1/4", "1"]])
     assert fresh == h and hash(fresh) == hash(h)
+    assert h.cumulative() == (F(0), F(1, 3), F(1))
+    assert h.cumulative() is h.cumulative()
+
+
+def test_constructors_store_lowest_terms():
+    # a*v + b and quotients land over larger scales, which the graphon reduces
+    wide = affine_rescale(B, 4, -2)
+    assert wide.integer_tables[2] == 1 and wide.value_range == (F(-2), F(2))
+    back = affine_rescale(wide, F(1, 4), F(1, 2))
+    assert back == B and hash(back) == hash(B)
+    assert back.integer_tables[:3] == B.integer_tables[:3] == (2, (1, 1), 1)
+    four = step_graphon(["1/4"] * 4, [["0", "0", "1", "1"]] * 2 + [["1", "1", "0", "0"]] * 2)
+    assert quotient(four, BlockPartition((0, 0, 1, 1))) == B
+
+
+def _spell(x: F, draw) -> object:
+    """x as one of the token spellings a graphon file or caller may use."""
+    n, d = x.numerator, x.denominator
+    m = draw(st.integers(1, 3))
+    spellings = [f"{n}/{d}", f"{n * m}/{d * m}", f" {n}/{d} ", x]
+    if n >= 0:
+        spellings.append(f"+{n * m}/{d * m}")
+    if d == 1:
+        spellings += [n, str(n), f" {n}"]
+    if n == 0:
+        spellings += ["-0", "+0", "0/7"]
+    return draw(st.sampled_from(spellings))
+
+
+@st.composite
+def _spelled_graphons(draw):
+    """(exact weights, exact values, range or None, the same as tokens)."""
+    b = draw(st.integers(1, 5))
+    parts = draw(st.lists(st.integers(0, 4), min_size=b, max_size=b).filter(any))
+    weights = [F(p, sum(parts)) for p in parts]
+    rng = draw(
+        st.one_of(
+            st.none(),
+            st.tuples(
+                st.sampled_from([F(-2), F(-1, 2), F(0)]), st.sampled_from([F(1), F(3, 2), F(3)])
+            ),
+        )
+    )
+    lo, hi = rng or (F(0), F(1))
+    values = [[F(0)] * b for _ in range(b)]
+    for i in range(b):
+        for j in range(i, b):
+            den = draw(st.integers(1, 6))
+            top = draw(st.integers(math.ceil(lo * den), math.floor(hi * den)))
+            values[i][j] = values[j][i] = F(top, den)
+    tokens = (
+        [_spell(w, draw) for w in weights],
+        [[_spell(v, draw) for v in row] for row in values],
+        None if rng is None else tuple(_spell(x, draw) for x in rng),
+    )
+    return weights, values, rng, tokens
+
+
+@given(_spelled_graphons(), _spelled_graphons())
+@settings(max_examples=200, deadline=None)
+def test_integer_tables_match_lcm_reference_for_every_spelling(case, other):
+    weights, values, rng, (w_tokens, v_tokens, r_tokens) = case
+    r = math.lcm(*(w.denominator for w in weights))
+    q = math.lcm(*(v.denominator for row in values for v in row))
+    nv = [[int(v * q) for v in row] for row in values]
+    expected = (r, tuple(int(w * r) for w in weights), q, nv)
+    h = step_graphon(w_tokens, v_tokens, r_tokens)
+    got = h.integer_tables
+    assert (*got[:3], got[3].tolist()) == expected
+    assert h.weights == tuple(weights) and h.values == tuple(map(tuple, values))
+    assert h.value_range == (rng or (F(0), F(1)))
+    plain = [[v if isinstance(v, (int, str)) else str(v) for v in row] for row in v_tokens]
+    data = {"weights": [str(w) for w in w_tokens], "values": plain}
+    if r_tokens is not None:
+        data["range"] = [str(x) for x in r_tokens]
+    parsed = parse_graphon(json.dumps(data))
+    assert parsed == h and hash(parsed) == hash(h)
+    assert parse_graphon(serialize_graphon(h)) == h
+    # equal exactly when the Fraction views are equal
+    g = step_graphon(*other[3])
+    views = (h.weights, h.values, h.value_range) == (g.weights, g.values, g.value_range)
+    assert (g == h) == views
+
+
+@given(step_graphons(max_blocks=5), st.integers(1, 3), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_blowup_matches_fraction_reference(h, k, ranged):
+    if ranged:
+        h = affine_rescale(h, 3, -1)
+    weights, values = brute_blowup(list(h.weights), [list(row) for row in h.values], k)
+    g = blowup(h, k)
+    assert g.weights == tuple(weights)
+    assert g.values == tuple(map(tuple, values))
+    assert g.value_range == h.value_range
+    assert g == step_graphon(weights, values, h.value_range)
 
 
 def test_validate_names_first_offending_entry_in_row_major_order():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from graphlim import (
     BlockPartition,
-    StepGraphon,
     anchor_tags,
     anchored_quotient,
     blowup,
@@ -425,7 +424,7 @@ def _nudge(draw, h):
     values = [list(row) for row in h.values]
     old = values[i][j]
     values[i][j] = values[j][i] = old + F(1, 6) if old <= F(1, 2) else old - F(1, 6)
-    return StepGraphon(h.weights, tuple(map(tuple, values)))
+    return step_graphon(h.weights, values)
 
 
 @st.composite
@@ -441,7 +440,7 @@ def permuted_double_blowups(draw):
         weights[perm[old]] = h.weights[old % b] / 2
         for old2 in range(2 * b):
             values[perm[old]][perm[old2]] = h.values[old % b][old2 % b]
-    g = StepGraphon(tuple(weights), tuple(map(tuple, values)))
+    g = step_graphon(weights, values)
     return h, g, _nudge(draw, h), _nudge(draw, g)
 
 
