@@ -8,16 +8,25 @@ to the edge multiplicity, or the 0/1 adjacency. Pinned nodes are evidence:
 their table rows are sliced, and an edge between two pinned nodes is a
 constant factor. Kept nodes are not summed out: one call returns a labeled
 motif's anchored densities at every anchor tuple. The engine sums free nodes
-out one bucket at a time (bucket elimination) with np.einsum, in an order
-found by exact search over the node subsets of each connected piece, so a
-motif of treewidth w on B blocks costs about |V(F)|*B^(w+1) rather than
-B^|V(F)|.
+out one bucket at a time (bucket elimination; Dechter, Artificial
+Intelligence 113, 1999), in an order found by exact search over the node
+subsets of each connected piece, so a motif of treewidth w on B blocks
+costs about |V(F)|*B^(w+1) rather than B^|V(F)|.
 
-The tables are int64 when the weight total to the number of free nodes,
-times the largest |entry| to the total multiplicity, is below 2^63: no
-partial sum can then overflow. Otherwise they hold Python ints in object
-arrays. Either way the sum is exact, and a single Fraction division at the
-end restores the exact rational.
+A call first fixes its bound: the weight total to the number of free nodes,
+times the largest |entry| to the total multiplicity. No entry or partial sum
+exceeds it in magnitude, so it picks the tier, the dtype in which the sum is
+exact: float64 below 2^53 (every partial sum is an integer float, whatever
+order BLAS adds in), int64 below 2^63, Python ints in object arrays
+otherwise. The plan, cached per motif shape, pinned set, kept nodes, block
+count and tier, holds the elimination order and each bucket's operands and
+einsum subscripts. A float64 bucket over three or more nodes and of more
+than _BLAS_ENTRIES entries contracts pairwise along an einsum path found
+once per plan, so that its matrix products run in BLAS; any other bucket is
+one plain np.einsum. A
+graphon caches its largest entry and its table powers per tier. Float sums
+leave through np.rint as ints, and a single Fraction division at the end
+restores the exact rational.
 """
 
 from __future__ import annotations
@@ -26,11 +35,11 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .graphons import BlackBoxKernel, StepGraphon
+from .graphons import BlackBoxKernel, StepGraphon, exact_power
 from .graphs import Edge, LabeledMultigraph, product, unlabel
 from .rational import format_float
 from .streams import DOMAIN_MC_COORDS, philox_stream
@@ -49,6 +58,11 @@ _FSUM_LIMIT = 2.0**959
 # budget for the samples x |V(F)| float64 coordinates one Monte Carlo call
 # draws, in chunks of _FSUM_CHUNK samples
 MAX_MC_BYTES = 1 << 30
+# float64 buckets of more entries than this contract pairwise through BLAS;
+# below it one plain einsum was faster in timings of 2- to 5-operand buckets
+# (plain ahead up to 4,096 entries, the pairwise path from 20,736). Buckets
+# over two nodes, matrix-vector products, ran faster plain at every size.
+_BLAS_ENTRIES = 1 << 14
 
 AnchorAssignment = Mapping[int, int]
 
@@ -151,6 +165,169 @@ def _elimination_order(
     return order
 
 
+def _tier(bound: int) -> type:
+    """The cheapest dtype in which no entry or partial sum of magnitude at
+    most `bound` is rounded or overflows."""
+    return np.float64 if bound < 2**53 else np.int64 if bound < 2**63 else object
+
+
+def _subscripts(scopes: Sequence[Sequence[int]], out: Sequence[int]) -> str:
+    """einsum subscripts naming the nodes of scopes and out by letters, in
+    order of first appearance among them."""
+    letter: dict[int, str] = {}
+    for y in itertools.chain(*scopes, out):
+        letter.setdefault(y, chr(97 + len(letter)))
+    inputs = ",".join("".join(map(letter.get, s)) for s in scopes)
+    return inputs + "->" + "".join(map(letter.get, out))
+
+
+class _Step(NamedTuple):
+    """One bucket: einsum `subscripts` over the operands numbered `operands`,
+    which together span `scope`; `path` is the precomputed pairwise einsum
+    path of a float64 bucket of more than _BLAS_ENTRIES entries, else False."""
+
+    operands: tuple[int, ...]
+    scope: tuple[int, ...]
+    subscripts: str
+    path: list | bool
+
+
+class _Plan(NamedTuple):
+    """Everything about one engine call that depends on the motif shape,
+    the pinned and kept nodes, the block count and the tier, not on the table.
+
+    Operands are numbered in the order they appear: one vector per free node
+    (the weights) and per kept node (ones), `free` then `kept` many, then one
+    table per edge between unpinned nodes, with multiplicities `tables`; every
+    step appends its result. An edge from a pinned node multiplies its row
+    into a vector: `rows` holds (operand, pinned node, multiplicity), and
+    `constants` the edges with both ends pinned. `live` numbers the operands
+    left when the free nodes are summed out, and `final` contracts them onto
+    the kept nodes. `entries` is the predicted work, the summed bucket sizes.
+    """
+
+    tier: type
+    order: tuple[int, ...]
+    free: int
+    kept: int
+    tables: tuple[int, ...]
+    rows: tuple[tuple[int, int, int], ...]
+    constants: tuple[Edge, ...]
+    multiplicities: frozenset[int]
+    steps: tuple[_Step, ...]
+    live: tuple[int, ...]
+    final: str
+    entries: int
+
+
+@functools.lru_cache(maxsize=1024)
+def _plan(
+    node_count: int,
+    edges: tuple[Edge, ...],
+    pinned: frozenset[int],
+    kept: tuple[int, ...],
+    block_count: int,
+    tier: type,
+) -> _Plan:
+    """Plan a call; cached, so that each shape is planned once per process."""
+    free = [x for x in range(node_count) if x not in pinned and x not in kept]
+    vectors = free + list(kept)
+    scopes = [(x,) for x in vectors]
+    tables, rows, constants = [], [], []
+    for u, v, m in edges:
+        if u in pinned and v in pinned:
+            constants.append((u, v, m))
+        elif u in pinned or v in pinned:
+            a, x = (u, v) if u in pinned else (v, u)
+            rows.append((vectors.index(x), a, m))
+        else:
+            tables.append(m)
+            scopes.append((u, v))
+    live = list(range(len(scopes)))
+    order = _elimination_order(free, edges, block_count, kept)
+    steps = []
+    for x in order:
+        bucket = [i for i in live if x in scopes[i]]
+        live = [i for i in live if x not in scopes[i]]
+        scope = tuple(sorted({y for i in bucket for y in scopes[i]}))
+        subscripts = _subscripts([scopes[i] for i in bucket], [y for y in scope if y != x])
+        path: list | bool = False
+        if tier is np.float64 and len(scope) > 2 and block_count ** len(scope) > _BLAS_ENTRIES:
+            shapes = [np.broadcast_to(0.0, (block_count,) * len(scopes[i])) for i in bucket]
+            path = np.einsum_path(subscripts, *shapes, optimize="greedy")[0]
+        steps.append(_Step(tuple(bucket), scope, subscripts, path))
+        live.append(len(scopes))
+        scopes.append(tuple(y for y in scope if y != x))
+    return _Plan(
+        tier,
+        tuple(order),
+        len(free),
+        len(kept),
+        tuple(tables),
+        tuple(rows),
+        tuple(constants),
+        frozenset(m for _, _, m in edges),
+        tuple(steps),
+        tuple(live),
+        _subscripts([scopes[i] for i in live], kept),
+        sum(block_count ** len(step.scope) for step in steps),
+    )
+
+
+def _plan_for(
+    node_count: int,
+    edges: Sequence[Edge],
+    weights: Sequence[int],
+    pinned: Mapping[int, int],
+    kept: Sequence[int],
+    top: int,
+) -> _Plan:
+    """The cached plan of one call, in the tier of its bound
+    sum(weights)**(free nodes) * top**(total multiplicity), `top` the
+    largest |entry| of the table and at least 1. No entry or partial sum
+    the plan forms exceeds the bound in magnitude."""
+    free = node_count - len(pinned) - len(kept)
+    bound = sum(weights) ** free * top ** sum(m for _, _, m in edges)
+    return _plan(
+        node_count, tuple(edges), frozenset(pinned), tuple(kept), len(weights), _tier(bound)
+    )
+
+
+def _execute(
+    plan: _Plan,
+    weights: Sequence[int],
+    pinned: Mapping[int, int],
+    power: Callable[[type, int], np.ndarray],
+) -> int | np.ndarray:
+    """Run a plan on the tables power(plan.tier, m): the value table raised
+    to each multiplicity m. Float64 sums are exact integers and leave
+    through np.rint; a kept table comes back as int64, or as Python ints in
+    the object tier."""
+    powers = {m: power(plan.tier, m) for m in plan.multiplicities}
+    result = 1
+    for u, v, m in plan.constants:
+        result *= int(powers[m][pinned[u], pinned[v]])
+    if result == 0 and not plan.kept:
+        return 0
+    operands = [np.array(weights, dtype=plan.tier)] * plan.free
+    operands += [np.ones(len(weights), dtype=plan.tier)] * plan.kept
+    operands += [powers[m] for m in plan.tables]
+    for i, a, m in plan.rows:
+        operands[i] = operands[i] * powers[m][pinned[a]]
+    for step in plan.steps:
+        args = [operands[i] for i in step.operands]
+        operands.append(np.einsum(step.subscripts, *args, optimize=step.path))
+    live = [operands[i] for i in plan.live]
+    if plan.kept:
+        table = np.einsum(plan.final, *live)
+        if plan.tier is np.float64:
+            table = np.rint(table).astype(np.int64)
+        return result * table
+    for x in live:
+        result *= int(np.rint(x)) if plan.tier is np.float64 else int(x)
+    return result
+
+
 def _hom_sum(
     node_count: int,
     edges: Sequence[Edge],
@@ -164,43 +341,24 @@ def _hom_sum(
 
     Pinned nodes are held at their blocks; kept nodes are not summed out,
     and the call returns the table over them, axes in the given order. Neither
-    carries a weight. No entry or partial sum exceeds `bound`, so int64
-    tables are exact below 2**63.
+    carries a weight.
     """
-    free = [x for x in range(node_count) if x not in pinned and x not in kept]
     top = max(1, int(np.max(np.abs(table))))
-    bound = sum(weights) ** len(free) * top ** sum(m for _, _, m in edges)
-    dtype = np.int64 if bound < 2**63 else object
-    powers = {m: table.astype(dtype) ** m for m in {m for _, _, m in edges}}
-    result = 1
-    vectors = {x: np.array(weights, dtype=dtype) for x in free}
-    vectors.update((x, np.ones(len(weights), dtype=dtype)) for x in kept)
-    factors = [(vec, (x,)) for x, vec in vectors.items()]
-    for u, v, m in edges:
-        if u in pinned and v in pinned:
-            result *= int(table[pinned[u], pinned[v]]) ** m
-        elif u in pinned or v in pinned:
-            a, x = (u, v) if u in pinned else (v, u)
-            vectors[x] *= powers[m][pinned[a]]  # in place: factors holds it
-        else:
-            factors.append((powers[m], (u, v)))
-    if result == 0 and not kept:
-        return 0
-    for x in _elimination_order(free, edges, len(weights), kept):
-        bucket = [f for f in factors if x in f[1]]
-        factors = [f for f in factors if x not in f[1]]
-        labels = sorted({y for _, scope in bucket for y in scope})
-        scope = tuple(y for y in labels if y != x)
-        operands = [
-            item for arr, s in bucket for item in (arr, [labels.index(y) for y in s])
-        ]
-        factors.append((np.einsum(*operands, [labels.index(y) for y in scope]), scope))
-    if kept:
-        operands = [item for arr, s in factors for item in (arr, [kept.index(y) for y in s])]
-        return result * np.einsum(*operands, list(range(len(kept))))
-    for arr, _ in factors:
-        result *= int(arr)
-    return result
+    plan = _plan_for(node_count, edges, weights, pinned, kept, top)
+    return _execute(plan, weights, pinned, functools.partial(exact_power, table))
+
+
+def _graphon_sum(
+    motif: LabeledMultigraph,
+    graphon: StepGraphon,
+    pinned: Mapping[int, int],
+    kept: Sequence[int] = (),
+) -> int | np.ndarray:
+    """_hom_sum of the motif on the graphon's integer tables, with the
+    graphon's cached largest entry and table powers."""
+    nw = graphon.integer_tables[1]
+    plan = _plan_for(motif.node_count, motif.edges, nw, pinned, kept, graphon.table_top)
+    return _execute(plan, nw, pinned, graphon.table_power)
 
 
 # -- exact evaluation in a finite graph --------------------------------------
@@ -245,8 +403,8 @@ def _check_blocks(graphon: StepGraphon) -> None:
 def _graphon_density(
     motif: LabeledMultigraph, graphon: StepGraphon, pinned: Mapping[int, int]
 ) -> Fraction:
-    r, nw, q, nv = graphon.integer_tables
-    total = _hom_sum(motif.node_count, motif.edges, nv, nw, pinned)
+    r, _, q, _ = graphon.integer_tables
+    total = _graphon_sum(motif, graphon, pinned)
     scale = r ** (motif.node_count - len(pinned)) * q**motif.total_multiplicity
     return Fraction(total, scale)
 
@@ -436,13 +594,13 @@ def product_identity_check(
         raise ValueError(f"{k} labels exceed the limit {MAX_MOTIF_NODES}")
     glued = unlabel(product(f1, f2))
     lhs = density_exact(glued, graphon, node_limit=glued.node_count)
-    r, nw, q, nv = graphon.integer_tables
+    r, nw, q, _ = graphon.integer_tables
     axes = list(range(k))
     operands: list = [item for i in axes for item in (np.array(nw, dtype=object), [i])]
     for f in (f1, f2):
         _check_size(f)
         kept = [node for node, _ in sorted(f.labels, key=lambda item: item[1])]
-        table = _hom_sum(f.node_count, f.edges, nv, nw, {}, kept)
+        table = _graphon_sum(f, graphon, {}, kept)
         operands += [np.asarray(table, dtype=object), axes]
     scale = r**glued.node_count * q**glued.total_multiplicity
     rhs = Fraction(int(np.einsum(*operands, [])), scale)

@@ -75,12 +75,41 @@ class StepGraphon:
         return self._r, self._nw, self._q, values
 
     @cached_property
+    def table_top(self) -> int:
+        """The largest |entry| of the integer value table, at least 1."""
+        return max(1, *map(abs, chain.from_iterable(self._table)))
+
+    def table_power(self, dtype: type, m: int) -> np.ndarray:
+        """exact_power of the integer value table, made once per (dtype, m)
+        and read-only."""
+        key = (dtype, m)
+        if key not in self._table_powers:
+            power = exact_power(self.integer_tables[3], dtype, m)
+            power.flags.writeable = False
+            self._table_powers[key] = power
+        return self._table_powers[key]
+
+    @cached_property
+    def _table_powers(self) -> dict[tuple[type, int], np.ndarray]:
+        return {}
+
+    @cached_property
     def _boundaries(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self._r) for c in accumulate(self._nw, initial=0))
 
     def cumulative(self) -> tuple[Fraction, ...]:
         """Block boundaries 0 = c_0 <= c_1 <= ... <= c_B = 1."""
         return self._boundaries
+
+
+def exact_power(table: np.ndarray, dtype: type, m: int) -> np.ndarray:
+    """table**m as a dtype array (np.float64, np.int64 or object) of integers,
+    raised in exact integers, int64 on the way to float64, and converted
+    once. The caller ensures that every entry fits dtype exactly."""
+    if m == 1:
+        return table.astype(dtype)
+    exact = table.astype(object if dtype is object else np.int64) ** m
+    return exact.astype(dtype, copy=False)
 
 
 def step_graphon(

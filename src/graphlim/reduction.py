@@ -163,11 +163,15 @@ def _twin_reduce_with_map(graphon: StepGraphon) -> tuple[StepGraphon, dict[int, 
 def anchor_tags(
     graphon: StepGraphon, anchors: Sequence[int]
 ) -> tuple[list[TagVector], BlockPartition]:
-    """Per-block value profile against the anchor blocks, and its partition."""
+    """Per-block value profile against the anchor blocks, and its partition.
+
+    The tags are Fractions of the integer table's anchor columns only.
+    """
     for a in anchors:
         if not 0 <= a < graphon.block_count:
             raise ValueError(f"anchor block {a} out of range")
-    tags = [tuple(row[a] for a in anchors) for row in graphon.values]
+    _, _, q, nv = graphon.integer_tables
+    tags = [tuple(Fraction(x, q) for x in row) for row in nv[:, list(anchors)].tolist()]
     return tags, BlockPartition.from_keys(tags)
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .density import MAX_MOTIF_NODES, _hom_sum, density_exact
+from .density import MAX_MOTIF_NODES, _graphon_sum, density_exact
 from .graphons import StepGraphon
 from .graphs import LabeledMultigraph, _without_one_copy, multigraph, subdivide_edge
 
@@ -162,9 +162,9 @@ def _spectral_coefficients(
     a_n times the eigenvalue reconstructs the base density with the removed
     edge restored, which is the trace identity the report checks.
     """
-    r, nw, q, nv = graphon.integer_tables
+    r, nw, q, _ = graphon.integer_tables
     kept = [node for node, _ in remainder.labels]
-    table = _hom_sum(remainder.node_count, remainder.edges, nv, nw, {}, kept)
+    table = _graphon_sum(remainder, graphon, {}, kept)
     scale = r ** (remainder.node_count - 2) * q**remainder.total_multiplicity
     tprime = (table.astype(object) / scale).astype(float)
     d = np.sqrt([w / r for w in nw])

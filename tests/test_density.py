@@ -23,6 +23,7 @@ from graphlim import (
     multigraph,
     product_identity_check,
     step_graphon,
+    unlabel,
 )
 import graphlim.density as density_module
 from graphlim import serialize_graph, serialize_graphon
@@ -232,6 +233,129 @@ def test_kept_table_dtype_branches():
     _, nw, _, nv = B.integer_tables
     small = density_module._hom_sum(3, [(0, 1, 1), (1, 2, 1)], nv, nw, {}, [0, 2])
     assert small.dtype == np.int64 and small.tolist() == [[1, 0], [0, 1]]
+
+
+def _engine_plan(motif, graphon, pinned=None):
+    """The engine plan of the motif on the graphon: of its anchored sum with
+    pinned nodes, else of its kept table over the labeled nodes."""
+    kept = () if pinned else [node for node, _ in sorted(motif.labels, key=lambda item: item[1])]
+    return density_module._plan_for(
+        motif.node_count, motif.edges, graphon.integer_tables[1], pinned or {}, kept,
+        graphon.table_top,
+    )
+
+
+P3 = path_graph(3)
+P3_END = multigraph(3, [(0, 1), (1, 2)], labels=[(0, 1)])
+
+
+# p^2 lands just below or just above a tier limit; p is odd, so a p^2 above
+# 2^53 has no exact float64 and a p^2 above 2^63 overflows int64
+@pytest.mark.parametrize(
+    "p, tier",
+    [
+        (94906265, np.float64),
+        (94906267, np.int64),
+        (3037000499, np.int64),
+        (3037000501, object),
+    ],
+)
+def test_tier_switches_at_the_bound(p, tier):
+    h = constant(F(p, p + 2))
+    anchors = {1: 0}
+    assert _engine_plan(P3, h).tier is tier
+    assert _engine_plan(P3_END, h, {0: 0}).tier is tier
+    assert _engine_plan(P3_END, h).tier is tier
+    assert density_exact(P3, h) == brute_density_exact(P3, h) == F(p, p + 2) ** 2
+    assert anchored_density(P3_END, h, anchors) == brute_anchored(P3_END, h, anchors)
+    table, scale = _kept_table(P3_END, h)
+    assert table.tolist() == [p**2] and F(table[0], scale) == brute_anchored(P3_END, h, anchors)
+
+
+_ENGINE_HOST = step_graphon(["1/2", "1/2"], [["1048582/1048583", "1/1048583"], ["1/1048583", "0"]])
+
+
+@given(
+    multigraphs(max_nodes=4, max_labels=2),
+    st.sampled_from([6, 1048583, 2**31 - 1]).flatmap(
+        lambda d: step_graphons(max_blocks=3, denominator=d)
+    ),
+    st.none(),
+)
+@settings(max_examples=60, deadline=None)
+@example(multigraph(3, [(0, 1), (0, 2), (1, 2)], labels=[(0, 1)]), B, np.float64)
+# 2 free nodes over weight total 2, and 3 edges on entries up to 2^20: 2^62
+@example(multigraph(3, [(0, 1), (0, 2), (1, 2)], labels=[(0, 1)]), _ENGINE_HOST, np.int64)
+@example(multigraph(3, [(0, 1, 2), (0, 2), (1, 2, 2)], labels=[(0, 1)]), _ENGINE_HOST, object)
+def test_every_tier_matches_the_oracles(motif, graphon, tier):
+    if tier is not None:
+        assert _engine_plan(motif, graphon).tier is tier
+    plain = unlabel(motif)
+    assert density_exact(plain, graphon) == brute_density_exact(plain, graphon)
+    anchors = {lab: (lab * 7) % graphon.block_count for lab in motif.label_set}
+    assert anchored_density(motif, graphon, anchors) == brute_anchored(motif, graphon, anchors)
+    table, scale = _kept_table(motif, graphon)
+    for combo in itertools.product(range(graphon.block_count), repeat=len(motif.labels)):
+        anchors = {i + 1: b for i, b in enumerate(combo)}
+        assert F(table[combo], scale) == brute_anchored(motif, graphon, anchors)
+
+
+def _graph_of(adjacency):
+    n = len(adjacency)
+    return multigraph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if adjacency[i, j]])
+
+
+@given(multigraphs(max_nodes=4), st.integers(1, 7), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+# a 40-node host: the first triangle bucket has 40^3 entries, over the
+# float64 BLAS threshold
+@example(K3, 40, 5)
+def test_adjacency_density_matches_brute_force(motif, n, seed):
+    """The convergence experiment's path: a leading block of a larger
+    symmetric uint8 adjacency."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.integers(0, 2, (n + 3, n + 3), dtype=np.uint8), 1)
+    adjacency = (upper + upper.T)[:n, :n]
+    if n >= 26 and motif.node_count == 3 and len(motif.edges) == 3:
+        plan = density_module._plan_for(3, K3.edges, [1] * n, {}, (), 1)
+        assert plan.tier is np.float64 and plan.steps[0].path
+    got = density_module.adjacency_density(motif, adjacency)
+    assert got == brute_density_graph(motif, _graph_of(adjacency))
+
+
+def test_plans_are_not_shared_across_calls_that_differ():
+    """One motif shape at several block counts, pinned sets and kept sets,
+    interleaved so that a stale plan would be reused."""
+    c4 = multigraph(4, [(0, 1), (1, 2), (2, 3), (0, 3, 2)])
+    hosts = [
+        B,
+        step_graphon(
+            ["1/6", "1/3", "1/2"], [["1", "1/2", "0"], ["1/2", "1/3", "1"], ["0", "1", "1/4"]]
+        ),
+        HK3,
+    ]
+    for h in hosts * 2:
+        b = h.block_count
+        assert density_exact(c4, h) == brute_density_exact(c4, h)
+        for nodes in [(0,), (2,), (0, 2), (1, 3), (2, 0), (3, 1, 0)]:
+            labeled = multigraph(4, c4.edges, labels=[(x, i + 1) for i, x in enumerate(nodes)])
+            anchors = {i + 1: (i + b - 1) % b for i in range(len(nodes))}
+            assert anchored_density(labeled, h, anchors) == brute_anchored(labeled, h, anchors)
+            table, scale = _kept_table(labeled, h)
+            for combo in itertools.product(range(b), repeat=len(nodes)):
+                at = {i + 1: x for i, x in enumerate(combo)}
+                assert F(table[combo], scale) == brute_anchored(labeled, h, at)
+
+
+def test_cached_table_powers_are_read_only():
+    h = step_graphon(["1/3", "2/3"], [["1/2", "1"], ["1", "1/5"]])
+    for tier in (np.float64, np.int64, object):
+        power = h.table_power(tier, 2)
+        assert h.table_power(tier, 2) is power
+        assert power.tolist() == [[25, 100], [100, 4]]
+        with pytest.raises(ValueError):
+            power[0, 0] = 0
+    assert h.table_top == 10
 
 
 def test_product_identity_on_fixed_cases():

@@ -148,6 +148,16 @@ def test_anchor_tags_examples():
         anchor_tags(B, [4])
 
 
+@given(step_graphons(max_blocks=6), st.lists(st.integers(0, 5), max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_anchor_tags_read_the_value_view(graphon, picks):
+    anchors = [a % graphon.block_count for a in picks]
+    tags, part = anchor_tags(graphon, anchors)
+    view = [tuple(row[a] for a in anchors) for row in graphon.values]
+    assert tags == view
+    assert part == BlockPartition.from_keys(view)
+
+
 def test_random_anchors_distribution_and_determinism():
     draws = random_anchors(B, 10000, 5)
     assert random_anchors(B, 10000, 5) == draws
