@@ -22,11 +22,11 @@ otherwise. The plan, cached per motif shape, pinned set, kept nodes, block
 count and tier, holds the elimination order and each bucket's operands and
 einsum subscripts. A float64 bucket over three or more nodes and of more
 than _BLAS_ENTRIES entries contracts pairwise along an einsum path found
-once per plan, so that its matrix products run in BLAS; any other bucket is
-one plain np.einsum. A
-graphon caches its largest entry and its table powers per tier. Float sums
-leave through np.rint as ints, and a single Fraction division at the end
-restores the exact rational.
+once per plan and stored as its pairs, so that its matrix products run in
+BLAS (np.tensordot) with no path search per call; any other bucket is one
+plain np.einsum. A graphon caches its largest entry and its table powers
+per tier. Float sums leave through np.rint as ints, and a single Fraction
+division at the end restores the exact rational.
 """
 
 from __future__ import annotations
@@ -181,15 +181,74 @@ def _subscripts(scopes: Sequence[Sequence[int]], out: Sequence[int]) -> str:
     return inputs + "->" + "".join(map(letter.get, out))
 
 
+class _Pair(NamedTuple):
+    """One contraction of a bucket's pairwise path: the operands at
+    `positions` of the bucket's working list are removed, in that order, and
+    the result is appended. With `axes`, the two contract through
+    np.tensordot (a BLAS product) and `perm`, unless None, orders the
+    result's axes; without, `subscripts` is one plain np.einsum."""
+
+    positions: tuple[int, ...]
+    subscripts: str
+    axes: tuple[tuple[int, ...], tuple[int, ...]] | None
+    perm: tuple[int, ...] | None
+
+
 class _Step(NamedTuple):
     """One bucket: einsum `subscripts` over the operands numbered `operands`,
-    which together span `scope`; `path` is the precomputed pairwise einsum
-    path of a float64 bucket of more than _BLAS_ENTRIES entries, else False."""
+    which together span `scope`; `pairs` is the pairwise path of a float64
+    bucket of more than _BLAS_ENTRIES entries, else None."""
 
     operands: tuple[int, ...]
     scope: tuple[int, ...]
     subscripts: str
-    path: list | bool
+    pairs: tuple[_Pair, ...] | None
+
+
+def _pairwise(subscripts: str, block_count: int) -> tuple[_Pair, ...]:
+    """The greedy einsum path of a bucket, found once, as pairwise
+    contractions. A pair that sums out exactly the letters its two operands
+    share becomes a tensordot; any other, such as a product with no letter
+    summed or one that keeps a shared letter, stays a plain einsum."""
+    inputs, out = subscripts.split("->")
+    terms = inputs.split(",")
+    shapes = [np.broadcast_to(0.0, (block_count,) * len(t)) for t in terms]
+    path = np.einsum_path(subscripts, *shapes, optimize="greedy")[0][1:]
+    pairs = []
+    for k, contraction in enumerate(path):
+        positions = tuple(sorted(contraction, reverse=True))
+        taken = [terms.pop(i) for i in positions]
+        later = set(out).union(*terms)
+        summed = set().union(*taken) - later
+        axes = perm = None
+        if len(taken) == 2 and summed and summed == set(taken[0]) & set(taken[1]):
+            x, y = taken
+            shared = [c for c in y if c in summed]
+            axes = tuple(map(x.index, shared)), tuple(map(y.index, shared))
+            result = "".join(c for c in x + y if c not in summed)
+            if k == len(path) - 1 and result != out:
+                perm = tuple(result.index(c) for c in out)
+                result = out
+        else:
+            kept = (c for t in taken for c in t if c in later)
+            result = out if k == len(path) - 1 else "".join(dict.fromkeys(kept))
+        pairs.append(_Pair(positions, ",".join(taken) + "->" + result, axes, perm))
+        terms.append(result)
+    return tuple(pairs)
+
+
+def _contract(step: _Step, args: list[np.ndarray]) -> np.ndarray:
+    """Sum a bucket's operands out: one plain einsum, or its pairwise path."""
+    if step.pairs is None:
+        return np.einsum(step.subscripts, *args)
+    for pair in step.pairs:
+        taken = [args.pop(i) for i in pair.positions]
+        if pair.axes is None:
+            args.append(np.einsum(pair.subscripts, *taken))
+        else:
+            result = np.tensordot(*taken, axes=pair.axes)
+            args.append(result if pair.perm is None else result.transpose(pair.perm))
+    return args[0]
 
 
 class _Plan(NamedTuple):
@@ -251,11 +310,10 @@ def _plan(
         live = [i for i in live if x not in scopes[i]]
         scope = tuple(sorted({y for i in bucket for y in scopes[i]}))
         subscripts = _subscripts([scopes[i] for i in bucket], [y for y in scope if y != x])
-        path: list | bool = False
+        pairs = None
         if tier is np.float64 and len(scope) > 2 and block_count ** len(scope) > _BLAS_ENTRIES:
-            shapes = [np.broadcast_to(0.0, (block_count,) * len(scopes[i])) for i in bucket]
-            path = np.einsum_path(subscripts, *shapes, optimize="greedy")[0]
-        steps.append(_Step(tuple(bucket), scope, subscripts, path))
+            pairs = _pairwise(subscripts, block_count)
+        steps.append(_Step(tuple(bucket), scope, subscripts, pairs))
         live.append(len(scopes))
         scopes.append(tuple(y for y in scope if y != x))
     return _Plan(
@@ -315,8 +373,7 @@ def _execute(
     for i, a, m in plan.rows:
         operands[i] = operands[i] * powers[m][pinned[a]]
     for step in plan.steps:
-        args = [operands[i] for i in step.operands]
-        operands.append(np.einsum(step.subscripts, *args, optimize=step.path))
+        operands.append(_contract(step, [operands[i] for i in step.operands]))
     live = [operands[i] for i in plan.live]
     if plan.kept:
         table = np.einsum(plan.final, *live)

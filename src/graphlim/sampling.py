@@ -9,13 +9,14 @@ drawn from the same seed. The convergence experiment leans on that
 nesting: it draws each replication once, at the largest size, and reads
 every size as the leading block of that one adjacency matrix.
 
-A sample is an n x n uint8 adjacency matrix. The draw puts the coins into
-the strict lower triangle of an n x n table, compares it once with the
-thresholds of the block pairs and mirrors the result. `sample_wrandom` builds
-a graph object from the matrix, `serialize_sample` (the `sample` command)
-writes the graph file from it directly, and the convergence experiment counts
-homomorphisms on it. The arrays of one draw, about 18 n^2 bytes at their
-peak, must fit MAX_SAMPLE_BYTES.
+The draw compares the coins in their packed order, coin j*(j-1)/2 + i for
+the pair (i, j), with the block-pair thresholds gathered in that order, the
+row-major order of the strict lower triangle of an n x n table, and
+scatters the hits into that triangle once. `serialize_sample` (the `sample`
+command) and `sample_wrandom` read the edges from the triangle; the
+convergence experiment mirrors it into a symmetric uint8 adjacency matrix
+and counts homomorphisms on that. The arrays of one draw, 19 n^2 / 2 bytes
+at their peak, must fit MAX_SAMPLE_BYTES.
 """
 
 from __future__ import annotations
@@ -35,27 +36,32 @@ from .streams import (
     DOMAIN_CHILD_SEEDS,
     DOMAIN_SAMPLE_EDGES,
     DOMAIN_SAMPLE_NODES,
-    RESOLUTION,
     draw_blocks,
     philox_stream,
+    variates,
     weight_thresholds,
 )
 
 # budget for the arrays of one sample; _sample_bytes predicts their peak
 MAX_SAMPLE_BYTES = 1 << 30
-_BYTES_PER_CELL = 18
+# peak bytes of a draw per node pair, n^2 / 2 of them: the uint64 coin and
+# pair threshold, the boolean hit and two cells of the n x n triangle mask
+_BYTES_PER_PAIR = 19
+
+_Thresholds = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _sample_bytes(n: int) -> int:
     """Predicted peak bytes of drawing an n-node sample: at the comparison,
-    n x n tables of uint64 coins and uint64 thresholds and two n x n boolean
-    masks are alive."""
-    return _BYTES_PER_CELL * n * n
+    the n x n boolean triangle mask, the uint64 coins and pair thresholds in
+    packed order and the boolean hits are alive, 19 n^2 / 2 bytes."""
+    return _BYTES_PER_PAIR * n * n // 2
 
 
-def _thresholds(graphon: StepGraphon, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The block thresholds and the uint64 table of edge thresholds for
-    n-node samples of a graphon whose values must be edge probabilities.
+def _thresholds(graphon: StepGraphon, n: int) -> _Thresholds:
+    """The block thresholds, the flattened uint64 table of edge thresholds
+    and the n x n strict lower triangle mask of n-node samples of a graphon
+    whose values must be edge probabilities.
 
     The range is checked on the integer value table; only a failure rescans
     the values, in row-major order, to name the first one outside [0,1].
@@ -73,28 +79,38 @@ def _thresholds(graphon: StepGraphon, n: int) -> tuple[np.ndarray, np.ndarray]:
         v = next(v for row in graphon.values for v in row if not 0 <= v <= 1)
         raise ValueError(f"value {v} outside [0,1] cannot be an edge probability")
     # floor(v * 2^63): an edge coin fires iff it is below its threshold
-    return weight_thresholds(r, nw), ((nv << 63) // q).astype(np.uint64)
+    edge_thresh = ((nv.ravel() << 63) // q).astype(np.uint64)
+    return weight_thresholds(r, nw), edge_thresh, np.tri(n, n, -1, dtype=bool)
 
 
-def _draw_adjacency(thresholds: tuple[np.ndarray, np.ndarray], n: int, seed: int) -> np.ndarray:
-    """Symmetric n x n uint8 adjacency of the W-random graph of (n, seed),
-    drawn with the graphon's _thresholds for n nodes.
+def _draw_triangle(thresholds: _Thresholds, n: int, seed: int) -> np.ndarray:
+    """n x n boolean table of the W-random graph of (n, seed), drawn with the
+    graphon's _thresholds for n nodes: (j, i) holds the edge {i, j} for
+    i < j, and the diagonal and upper triangle are False.
 
-    The coins fill the strict lower triangle of an n x n table in row-major
-    order, which puts coin j*(j-1)/2 + i at (j, i); one comparison with the
-    thresholds of the block pairs decides every edge, and the result is
-    mirrored.
+    The strict lower triangle in row-major order is the packed coin order,
+    coin j*(j-1)/2 + i at (j, i). The thresholds of the block pairs are
+    gathered in that order, one comparison decides every edge, and the
+    result is scattered into the triangle once.
     """
-    node_thresh, edge_thresh = thresholds
+    node_thresh, edge_thresh, lower = thresholds
     blocks = draw_blocks(philox_stream(seed, DOMAIN_SAMPLE_NODES), node_thresh, n)
-    lower = np.tri(n, n, -1, dtype=bool)
-    coins = np.zeros((n, n), dtype=np.uint64)
-    coins[lower] = philox_stream(seed, DOMAIN_SAMPLE_EDGES).integers(
-        0, RESOLUTION, size=n * (n - 1) // 2, dtype=np.uint64
-    )
-    edges = coins < edge_thresh[blocks][:, blocks]
-    del coins
-    edges &= lower
+    # flat index blocks[j] * B + blocks[i] of the pair at (j, i), packed
+    pairs = np.repeat(blocks * len(node_thresh), np.arange(n))
+    pairs += np.broadcast_to(blocks, (n, n))[lower]
+    pair_thresh = edge_thresh.take(pairs)
+    del pairs
+    hits = variates(philox_stream(seed, DOMAIN_SAMPLE_EDGES), len(pair_thresh)) < pair_thresh
+    del pair_thresh
+    edges = np.zeros((n, n), dtype=bool)
+    edges[lower] = hits
+    return edges
+
+
+def _draw_adjacency(thresholds: _Thresholds, n: int, seed: int) -> np.ndarray:
+    """Symmetric n x n uint8 adjacency of the W-random graph of (n, seed):
+    the drawn triangle, mirrored."""
+    edges = _draw_triangle(thresholds, n, seed)
     return (edges | edges.T).view(np.uint8)
 
 
@@ -105,9 +121,9 @@ def _sample_adjacency(graphon: StepGraphon, n: int, seed: int) -> np.ndarray:
 
 def _sample_edges(graphon: StepGraphon, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint arrays (u, v), u < v, of the sample's edges in lexicographic
-    order: the row-major positions of the upper triangle's ones."""
-    upper = _sample_adjacency(graphon, n, seed).view(bool) & ~np.tri(n, n, 0, dtype=bool)
-    return np.divmod(np.flatnonzero(upper), n)
+    order: the row-major positions of the ones of the transposed triangle."""
+    edges = _draw_triangle(_thresholds(graphon, n), n, seed)
+    return np.divmod(np.flatnonzero(edges.T), n)
 
 
 def sample_wrandom(graphon: StepGraphon, n: int, seed: int) -> LabeledMultigraph:
@@ -182,12 +198,7 @@ def convergence_experiment(
         if n < motif.node_count:
             raise ValueError(f"size {n} is smaller than the motif ({motif.node_count})")
     target = density_exact(motif, graphon)
-    child_seeds = [
-        int(s)
-        for s in philox_stream(seed, DOMAIN_CHILD_SEEDS).integers(
-            0, RESOLUTION, size=reps, dtype=np.uint64
-        )
-    ]
+    child_seeds = variates(philox_stream(seed, DOMAIN_CHILD_SEEDS), reps).tolist()
     errs: list[list[Fraction]] = [[] for _ in sizes]
     top = max(sizes)
     thresholds = _thresholds(graphon, top)

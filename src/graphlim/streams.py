@@ -6,7 +6,12 @@ platform independent) through `philox_stream`. The key is the pair
 bits of the second, so distinct uses of one user seed never collide, and
 any single variate can be located without generating its predecessors.
 
-Stream-splitting rule, documented for reproducibility:
+Stream-splitting rule, documented for reproducibility. Each variate takes
+one Philox word. A Monte Carlo coordinate is the float64 `Generator.random`
+makes of it; every other variate is its top 63 bits (`variates`), the uint64
+value `Generator.integers` draws on [0, RESOLUTION), because its bounded
+draw (Lemire, ACM TOMACS 2019) on the power-of-two range 2^63 keeps the high
+bits of one word and never rejects.
   - Monte Carlo density: stream (seed, DOMAIN_MC_COORDS); the coordinate of
     node i in sample s is variate number s*k + i, k = node count.
   - W-random nodes: stream (seed, DOMAIN_SAMPLE_NODES); the block of vertex
@@ -16,8 +21,8 @@ Stream-splitting rule, documented for reproducibility:
     pair (i, j), i < j, is variate number j*(j-1)/2 + i. The position
     depends only on (min, max), never on n or generation order.
   - random anchors: stream (seed, DOMAIN_ANCHORS), variate i for anchor i.
-  - experiment child seeds: stream (seed, DOMAIN_CHILD_SEEDS), one 64-bit
-    integer per replication.
+  - experiment child seeds: stream (seed, DOMAIN_CHILD_SEEDS), variate r
+    for replication r.
 """
 
 from __future__ import annotations
@@ -56,6 +61,13 @@ def weight_thresholds(r: int, weights: Sequence[int]) -> np.ndarray:
     return np.array([(c << 63) // r for c in accumulate(weights)], dtype=np.uint64)
 
 
+def variates(gen: np.random.Generator, count: int) -> np.ndarray:
+    """The stream's next `count` 63-bit variates, uniform on [0, RESOLUTION),
+    as uint64: the top 63 bits of its next `count` Philox words."""
+    words = gen.bit_generator.random_raw(count)
+    words >>= 1
+    return words
+
+
 def draw_blocks(gen: np.random.Generator, thresholds: np.ndarray, count: int) -> np.ndarray:
-    r = gen.integers(0, RESOLUTION, size=count, dtype=np.uint64)
-    return np.searchsorted(thresholds, r, side="right")
+    return np.searchsorted(thresholds, variates(gen, count), side="right")

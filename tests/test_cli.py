@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -265,3 +266,24 @@ def test_one_parser_serves_a_sequence_of_commands(files, capsys, monkeypatch):
     assert shared[2][1].startswith("{") and shared[2][1] != written
     monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
     assert results() == shared and out.read_text() == written
+
+
+def test_converge_golden(tmp_path, capsys):
+    """A full-size seeded run: K3 on a 16-block graphon, three sizes up to
+    200 nodes and 20 replications, pinned by the SHA-256 of its CSV."""
+    blocks = range(16)
+    graphon = {
+        "weights": [f"{i + 1}/136" for i in blocks],
+        "values": [[f"{(i * j + i + j) % 8}/7" for j in blocks] for i in blocks],
+    }
+    source, motif = tmp_path / "h16.json", tmp_path / "k3.txt"
+    source.write_text(json.dumps(graphon))
+    motif.write_text(TRIANGLE)
+    argv = ["converge", str(source), "--graph", str(motif),
+            "--sizes", "50,100,200", "--reps", "20", "--seed", "20261019"]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("motif,n,rep_count,median_err,max_err\nK3,50,20,")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b05a011a145491937ed75b0d39997ad0e66692f7641ad6dba780c620ab121c5c"
+    )

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction as F
 from unittest import mock
 
@@ -318,9 +319,71 @@ def test_adjacency_density_matches_brute_force(motif, n, seed):
     adjacency = (upper + upper.T)[:n, :n]
     if n >= 26 and motif.node_count == 3 and len(motif.edges) == 3:
         plan = density_module._plan_for(3, K3.edges, [1] * n, {}, (), 1)
-        assert plan.tier is np.float64 and plan.steps[0].path
+        assert plan.tier is np.float64 and plan.steps[0].pairs
     got = density_module.adjacency_density(motif, adjacency)
     assert got == brute_density_graph(motif, _graph_of(adjacency))
+
+
+def test_cached_plans_run_without_a_path_search(monkeypatch):
+    """A float64 bucket over the BLAS threshold keeps its pairwise
+    contractions in the cached plan, so a planned call searches no einsum
+    path: K3 on a 200-node host and K4 on 16 blocks."""
+    rng = np.random.default_rng(17)
+    upper = np.triu(rng.integers(0, 2, (200, 200), dtype=np.uint8), 1)
+    adjacency = upper + upper.T
+    h16 = step_graphon(
+        [f"{i + 1}/136" for i in range(16)],
+        [[f"{(i * j + i + j) % 8}/7" for j in range(16)] for i in range(16)],
+    )
+    k4 = complete_graph(4)
+    assert density_module._plan_for(3, K3.edges, [1] * 200, {}, (), 1).steps[0].pairs
+    assert _engine_plan(k4, h16).tier is np.float64 and _engine_plan(k4, h16).steps[0].pairs
+    calls = [
+        lambda: density_module.adjacency_density(K3, adjacency),
+        lambda: density_exact(k4, h16),
+    ]
+    first = [call() for call in calls]
+    a = adjacency.astype(np.int64)
+    r, nw, q, nv = h16.integer_tables
+    w, t = np.array(nw, dtype=np.int64), nv.astype(np.int64)
+    k4_sum = np.einsum("a,b,c,d,ab,ac,ad,bc,bd,cd->", w, w, w, w, t, t, t, t, t, t)
+    assert first == [F(int(np.trace(a @ a @ a)), 200**3), F(int(k4_sum), r**4 * q**6)]
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("einsum path search on a planned call")
+
+    monkeypatch.setattr(np, "einsum_path", no_search)
+    monkeypatch.setattr(sys.modules[np.einsum.__wrapped__.__module__], "einsum_path", no_search)
+    assert [call() for call in calls] == first
+
+
+# 26 blocks: a bucket over three nodes has 26^3 entries, over the float64
+# BLAS threshold; unequal multiplicities make its pairwise results asymmetric
+H26 = step_graphon(
+    [f"{i % 5 + 1}/76" for i in range(26)],
+    [[f"{(i * j + i + j) % 8}/7" for j in range(26)] for i in range(26)],
+)
+
+
+@pytest.mark.parametrize(
+    "motif",
+    [
+        multigraph(3, [(0, 1, 1), (0, 2, 2), (1, 2, 3)]),
+        multigraph(3, [(0, 1, 1), (1, 2, 2)], labels=[(0, 1), (2, 2)]),
+        multigraph(3, [(0, 1, 2), (1, 2, 1)], labels=[(2, 1), (0, 2)]),
+        # a path 2-1-0-3: its second bucket's tensordot comes out transposed
+        multigraph(4, [(0, 1, 1), (0, 3, 2), (1, 2, 1)], labels=[(2, 1), (3, 2)]),
+    ],
+)
+def test_pairwise_buckets_match_the_oracles(motif):
+    assert any(step.pairs for step in _engine_plan(motif, H26).steps)
+    plain = unlabel(motif)
+    if motif.node_count == 3:
+        assert density_exact(plain, H26) == brute_density_exact(plain, H26)
+    if motif.labels:
+        table, scale = _kept_table(motif, H26)
+        for a, b in itertools.product(range(0, 26, 3), range(1, 26, 4)):
+            assert F(table[a, b], scale) == brute_anchored(motif, H26, {1: a, 2: b})
 
 
 def test_plans_are_not_shared_across_calls_that_differ():
