@@ -65,7 +65,7 @@ def variates(gen: np.random.Generator, count: int) -> np.ndarray:
     """The stream's next `count` 63-bit variates, uniform on [0, RESOLUTION),
     as uint64: the top 63 bits of its next `count` Philox words."""
     words = gen.bit_generator.random_raw(count)
-    words >>= 1
+    words >>= 1  # in place: a second array of count words would raise the draw's peak
     return words
 
 
