@@ -28,7 +28,7 @@ from graphlim import (
     step_graphon,
     to_csv,
 )
-from graphlim import sampling
+from graphlim import sampling, streams
 from graphlim.cli import run
 from graphlim.corpus import (
     complete_graph,
@@ -39,7 +39,6 @@ from graphlim.corpus import (
 )
 from graphlim.graphs import format_edge_list, serialize_graph
 from graphlim.sampling import _sample_adjacency, _sample_bytes
-from graphlim import streams
 from graphlim.streams import (
     DOMAIN_CHILD_SEEDS,
     DOMAIN_SAMPLE_EDGES,
