@@ -27,6 +27,12 @@ BLAS (np.tensordot) with no path search per call; any other bucket is one
 plain np.einsum. A graphon caches its largest entry and its table powers
 per tier. Float sums leave through np.rint as ints, and a single Fraction
 division at the end restores the exact rational.
+
+A Monte Carlo estimate runs in chunks of _FSUM_CHUNK samples and sums each
+chunk's values exactly while they are still in cache: two levels of
+error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008)
+take nearly every bit, and exponent bins take the rest, so the mean and the
+variance are math.fsum's correctly rounded sums, whatever the chunking.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,9 +52,12 @@ from .streams import DOMAIN_MC_COORDS, philox_stream
 
 MAX_MOTIF_NODES = 8
 MAX_EXACT_BLOCKS = 64
-# samples per Monte Carlo chunk: coordinates drawn, values evaluated and
-# values binned by _fsum at a time
-_FSUM_CHUNK = 1 << 16
+# samples per Monte Carlo chunk, and values per _exact_sum chunk: coordinates
+# drawn, values evaluated and values summed at a time, few enough that a
+# chunk's arrays stay in cache. A chunk adds at most 2**14 * 2**27 = 2**41 in
+# magnitude to an int64 exponent bin, so any array of fewer than 2**36 values
+# fits the bins.
+_FSUM_CHUNK = 1 << 14
 # np.frexp exponents of finite doubles lie in [_MIN_EXPONENT, 1024]
 _MIN_EXPONENT = -1073
 _EXPONENTS = 1024 - _MIN_EXPONENT + 1
@@ -548,39 +557,78 @@ def _vectorized(kernel: BlackBoxKernel) -> bool:
     return out.shape == probe.shape
 
 
-def _fsum(values: np.ndarray) -> float:
-    """math.fsum of a float array: the correctly rounded sum, computed exactly.
+def _exact_sum(chunks: Iterable[np.ndarray], whole: Callable[[], np.ndarray]) -> float:
+    """math.fsum of the values of the chunks, each at most _FSUM_CHUNK long
+    and taken in turn as it comes: the correctly rounded sum, computed exactly.
 
-    np.frexp writes each value as M * 2**(e - 53), M an integer below 2**53
-    in magnitude, split as M = hi * 2**26 + lo with 0 <= lo < 2**26. Per
-    chunk of _FSUM_CHUNK values, np.bincount sums hi and lo by exponent;
-    those float sums stay below 2**53 and are exact. The bins accumulate in
-    int64, at most 2**43 per chunk, so that any array of fewer than 2**36
-    values fits; the nonzero ones join as one Python int, and one correctly rounded
-    integer division gives the float. Values of magnitude 2**959 or more,
-    which could overflow an intermediate sum of math.fsum, and non-finite
-    values are left to math.fsum, fed as Python floats one chunk at a time.
+    A chunk r of n values runs at most two levels of error-free extraction
+    (Rump, Ogita and Oishi, "Accurate floating-point summation part I",
+    SIAM J. Sci. Comput. 31, 2008). A level takes M = max|r| < 2**e and
+    sigma = 2**(e + l), l = (n + 1).bit_length(), so that n < 2**l. Then
+    q = (r + sigma) - sigma holds multiples of 2**(e + l - 53) of magnitude
+    at most 2**e, every partial sum of q is such a multiple below
+    2**(e + l), so np.sum(q) is exact in any order; r - q is exact too, and
+    at most 2**(e + l - 53) in magnitude. The level sums join one Python
+    int in units of 2**(_MIN_EXPONENT - 53). Whatever two levels leave is
+    binned: np.frexp writes each value as M * 2**(e - 53), M an integer below
+    2**53 in magnitude, split as M = hi * 2**26 + lo with 0 <= lo < 2**26,
+    and np.bincount sums hi and lo by exponent; those float sums stay below
+    2**53 and are exact. The bins accumulate in int64 across chunks and join
+    the int once, and one correctly rounded integer division gives the float.
+
+    A value that is not finite or of magnitude 2**959 or more could overflow
+    an intermediate sum of math.fsum: if a chunk holds one, the chunks are
+    run to their end and whole(), all their values as one array, goes to
+    math.fsum, fed as Python floats one chunk at a time.
     """
-    if not max(values.max(initial=0.0), -values.min(initial=0.0)) < _FSUM_LIMIT:
-        return math.fsum(
-            itertools.chain.from_iterable(
-                values[i : i + _FSUM_CHUNK].tolist()
-                for i in range(0, len(values), _FSUM_CHUNK)
-            )
-        )
+    total = 0
     bins = np.zeros((2, _EXPONENTS), dtype=np.int64)
-    for i in range(0, len(values), _FSUM_CHUNK):
-        mantissa, exponent = np.frexp(values[i : i + _FSUM_CHUNK])
-        exponent -= _MIN_EXPONENT
-        whole = mantissa * 2.0**53
-        hi = np.floor(whole * 2.0**-26)
-        lo = whole - hi * 2.0**26
-        bins[0] += np.bincount(exponent, hi, _EXPONENTS).astype(np.int64)
-        bins[1] += np.bincount(exponent, lo, _EXPONENTS).astype(np.int64)
-    total = sum(
+    scratch = np.empty((2, _FSUM_CHUNK))
+    chunks = iter(chunks)
+    for chunk in chunks:
+        n = len(chunk)
+        q, rest = scratch[:, :n]
+        r = chunk
+        for _ in range(2):
+            top = max(r.max(initial=0.0), -r.min(initial=0.0))
+            if not top < _FSUM_LIMIT:
+                for _ in chunks:
+                    pass
+                values = whole()
+                return math.fsum(
+                    itertools.chain.from_iterable(
+                        values[i : i + _FSUM_CHUNK].tolist()
+                        for i in range(0, len(values), _FSUM_CHUNK)
+                    )
+                )
+            if top == 0:
+                break
+            sigma = math.ldexp(1.0, math.frexp(top)[1] + (n + 1).bit_length())
+            np.add(r, sigma, out=q)
+            q -= sigma
+            part, exponent = math.frexp(q.sum())
+            total += int(part * 2.0**53) << (exponent - _MIN_EXPONENT)
+            r = np.subtract(r, q, out=rest)
+        else:
+            left = np.count_nonzero(r)
+            if left:
+                mantissa, exponent = np.frexp(r[r != 0] if 2 * left < n else r)
+                exponent -= _MIN_EXPONENT
+                scaled = mantissa * 2.0**53
+                hi = np.floor(scaled * 2.0**-26)
+                lo = scaled - hi * 2.0**26
+                bins[0] += np.bincount(exponent, hi, _EXPONENTS).astype(np.int64)
+                bins[1] += np.bincount(exponent, lo, _EXPONENTS).astype(np.int64)
+    total += sum(
         ((int(bins[0, e]) << 26) + int(bins[1, e])) << int(e) for e in np.flatnonzero(bins.any(0))
     )
     return total / (1 << (53 - _MIN_EXPONENT))
+
+
+def _fsum(values: np.ndarray) -> float:
+    """math.fsum of a float array: _exact_sum over chunks of _FSUM_CHUNK."""
+    chunks = (values[i : i + _FSUM_CHUNK] for i in range(0, len(values), _FSUM_CHUNK))
+    return _exact_sum(chunks, lambda: values)
 
 
 def density_mc(
@@ -596,6 +644,9 @@ def density_mc(
     In a chunk, each node's coordinates go through kernel.points once, and
     each edge through kernel.evaluator once, in edge order; a pair that does
     not take arrays is lifted elementwise by np.frompyfunc into the same loop.
+    Each chunk's values are summed (_exact_sum) as soon as they are written,
+    while they are still in cache; the deviations from the mean are then
+    formed, squared and summed one chunk at a time.
     The samples x k float coordinates drawn must fit MAX_MC_BYTES.
     """
     _require_unlabeled(motif, "density_mc")
@@ -610,22 +661,31 @@ def density_mc(
             f"over the budget of {MAX_MC_BYTES} bytes"
         )
     gen = philox_stream(seed, DOMAIN_MC_COORDS)
-    chunks = (
-        (start, gen.random((min(_FSUM_CHUNK, samples - start), k)))
-        for start in range(0, samples, _FSUM_CHUNK)
-    )
     values = np.ones(samples)
     ev, points = kernel.evaluator, kernel.points
     if not _vectorized(kernel):
         ev, points = np.frompyfunc(ev, 2, 1), np.frompyfunc(points, 1, 1)
-    for start, coords in chunks:
-        cols = [points(coords[:, x]) for x in range(k)]
-        out = values[start : start + len(coords)]
-        for u, v, m in motif.edges:
-            out *= np.asarray(ev(cols[u], cols[v]), dtype=float) ** m
-    mean = _fsum(values) / samples
-    values -= mean
-    var = _fsum(np.square(values, out=values)) / (samples - 1)
+    starts = range(0, samples, _FSUM_CHUNK)
+
+    def products() -> Iterator[np.ndarray]:
+        for start in starts:
+            out = values[start : start + _FSUM_CHUNK]
+            coords = gen.random((len(out), k))
+            cols = [points(coords[:, x]) for x in range(k)]
+            for u, v, m in motif.edges:
+                out *= np.asarray(ev(cols[u], cols[v]), dtype=float) ** m
+            yield out
+
+    mean = _exact_sum(products(), lambda: values) / samples
+    buffer = np.empty(min(samples, _FSUM_CHUNK))
+
+    def squares() -> Iterator[np.ndarray]:
+        for start in starts:
+            chunk = values[start : start + _FSUM_CHUNK]
+            deviation = np.subtract(chunk, mean, out=buffer[: len(chunk)])
+            yield np.square(deviation, out=deviation)
+
+    var = _exact_sum(squares(), lambda: np.square(values - mean)) / (samples - 1)
     stderr = math.sqrt(var / samples)
     return Estimate(mean, stderr, samples)
 

@@ -30,6 +30,7 @@ import graphlim.density as density_module
 from graphlim import serialize_graph, serialize_graphon
 from graphlim.cli import run
 from graphlim.corpus import complete_graph, cycle_graph, graphon_corpus, path_graph
+from graphlim.streams import DOMAIN_MC_COORDS, philox_stream
 
 from conftest import multigraphs, step_graphons
 from oracles import (
@@ -507,6 +508,10 @@ MC_MOTIFS = {"K3": K3, "C5": cycle_graph(5), "K3m2": K3M2}
          0.01103462109560472, 4.718552179454818e-05),
         ("K3m2", "step-mixed", 65537, 7, "0.170659174875 ± 0.00123673782336 (65537)",
          0.17065917487549137, 0.0012367378233590304),
+        ("K3", "step-padded", 16383, 29, "0.0629285189481 ± 0.000399650247900 (16383)",
+         0.06292851894805138, 0.00039965024789989596),
+        ("C5", "product", 16385, 31, "0.00416529495267 ± 0.000133730463082 (16385)",
+         0.004165294952668056, 0.00013373046308213222),
         ("K3", "product", 100000, 3, "0.0368613833404 ± 0.000255786065838 (100000)",
          0.03686138334036404, 0.00025578606583776344),
         ("K3m2", "minimum", 70001, 13, "0.0398218883920 ± 0.000324251041235 (70001)",
@@ -576,6 +581,99 @@ def test_fsum_on_a_long_array_of_mixed_exponents():
     values = rng.standard_normal(200_003) * 2.0 ** rng.integers(-60, 60, 200_003)
     values[::7] = -values[1::7][: len(values[::7])]
     assert density_module._fsum(values) == math.fsum(values.tolist())
+
+
+def _same_fsum_path(values: np.ndarray, binned: bool) -> None:
+    # _fsum is math.fsum bit for bit, and sends a residual to the exponent
+    # bins exactly when the two extraction levels leave one
+    with mock.patch.object(np, "bincount", wraps=np.bincount) as bincount:
+        assert density_module._fsum(values).hex() == math.fsum(values.tolist()).hex()
+    assert bincount.called == binned
+
+
+def test_fsum_skips_all_zero_chunks():
+    chunk = density_module._FSUM_CHUNK
+    _same_fsum_path(np.zeros(2 * chunk + 5), binned=False)
+    rng = np.random.default_rng(1)
+    values = np.concatenate([rng.random(100), np.zeros(2 * chunk), -rng.random(7)])
+    _same_fsum_path(values, binned=False)
+
+
+def test_fsum_finishes_narrow_exponents_within_the_extraction_levels():
+    # every exponent within 21 of the largest: two levels take every bit
+    rng = np.random.default_rng(2)
+    n = 3 * density_module._FSUM_CHUNK + 11
+    values = rng.uniform(0.5, 1.0, n) * rng.choice([-1.0, 1.0], n) * 2.0 ** rng.integers(-20, 1, n)
+    _same_fsum_path(values, binned=False)
+    _same_fsum_path(values * 2.0**-1000, binned=False)
+    _same_fsum_path(values * 2.0**900, binned=False)
+
+
+def test_fsum_bins_what_the_extraction_levels_leave():
+    rng = np.random.default_rng(3)
+    n = 200_003
+    _same_fsum_path(rng.random(n) ** 40, binned=True)
+    wide = rng.standard_normal(n) * 2.0 ** rng.integers(-1000, 901, n)
+    wide[::5] = -wide[1::5][: len(wide[::5])]
+    _same_fsum_path(wide, binned=True)
+
+
+def test_fsum_on_subnormals():
+    rng = np.random.default_rng(4)
+    subnormal = rng.integers(-(2**52), 2**52, 40_000) * 5e-324
+    _same_fsum_path(subnormal, binned=False)
+    # next to normal values, subnormals fall below the second level
+    _same_fsum_path(np.concatenate([subnormal, [1.0, -(2.0**-1022), 3.5]]), binned=True)
+
+
+# two levels take all 53 bits of a single value, so chunks of one never bin
+@pytest.mark.parametrize("chunk,binned", [(1, False), (3, True)])
+def test_fsum_with_tiny_chunks(chunk, binned):
+    rng = np.random.default_rng(chunk)
+    values = np.concatenate([
+        rng.random(50) ** 40,
+        np.zeros(7),
+        rng.integers(-(2**52), 2**52, 20) * 5e-324,
+        rng.standard_normal(50) * 2.0 ** rng.integers(-1000, 901, 50),
+        [1.0, -1.0, 2.0**-1074],
+    ])
+    rng.shuffle(values)
+    with mock.patch.object(density_module, "_FSUM_CHUNK", chunk):
+        _same_fsum_path(values, binned)
+        _same_fsum_path(np.zeros(10), binned=False)
+
+
+@given(
+    graphon=step_graphons(),
+    motif=st.sampled_from(["K2", "K3", "C5", "K3m2"]),
+    samples=st.integers(2, 200),
+    seed=st.integers(0, 2**32),
+)
+@example(graphon=MIXED, motif="K3m2", samples=4099, seed=5)
+@settings(max_examples=25, deadline=None)
+def test_density_mc_is_chunk_invariant(graphon, motif, samples, seed):
+    # any sharding of the samples gives the identical estimate
+    motif = {"K2": K2, **MC_MOTIFS}[motif]
+    kernel = BlackBoxKernel.from_step_graphon(graphon)
+    expected = density_mc(motif, kernel, samples, seed)
+    for chunk in (1, 3, 4096):
+        with mock.patch.object(density_module, "_FSUM_CHUNK", chunk):
+            assert density_mc(motif, kernel, samples, seed) == expected
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e300], ids=["squares", "values"])
+def test_density_mc_leaves_huge_values_to_math_fsum(scale):
+    # 1e150: the squared deviations reach 2**959; 1e300: the values do, in
+    # the first chunk, so the draw must still run to the end
+    samples, seed = density_module._FSUM_CHUNK + 1000, 8
+    coords = philox_stream(seed, DOMAIN_MC_COORDS).random((samples, 2))
+    values = scale * coords[:, 0] * coords[:, 1]
+    kernel = BlackBoxKernel(lambda x, y: scale * x * y)
+    with np.errstate(over="ignore"):
+        mean = math.fsum(values.tolist()) / samples
+        var = math.fsum(np.square(values - mean).tolist()) / (samples - 1)
+        estimate = density_mc(K2, kernel, samples, seed)
+    assert estimate == (mean, math.sqrt(var / samples), samples)
 
 
 def test_density_mc_memory_guard(monkeypatch, tmp_path, capsys):
