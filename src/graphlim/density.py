@@ -569,12 +569,14 @@ def _exact_sum(chunks: Iterable[np.ndarray], whole: Callable[[], np.ndarray]) ->
     at most 2**e, every partial sum of q is such a multiple below
     2**(e + l), so np.sum(q) is exact in any order; r - q is exact too, and
     at most 2**(e + l - 53) in magnitude. The level sums join one Python
-    int in units of 2**(_MIN_EXPONENT - 53). Whatever two levels leave is
-    binned: np.frexp writes each value as M * 2**(e - 53), M an integer below
-    2**53 in magnitude, split as M = hi * 2**26 + lo with 0 <= lo < 2**26,
-    and np.bincount sums hi and lo by exponent; those float sums stay below
-    2**53 and are exact. The bins accumulate in int64 across chunks and join
-    the int once, and one correctly rounded integer division gives the float.
+    int in units of 2**(_MIN_EXPONENT - 53). Only the nonzero values two
+    levels leave are binned, at most a few per cent of a chunk in perfbench's
+    Monte Carlo ops: np.frexp writes each as M * 2**(e - 53), M an integer
+    below 2**53 in magnitude, split as M = hi * 2**26 + lo with
+    0 <= lo < 2**26, and np.bincount sums hi and lo by exponent; those float
+    sums stay below 2**53 and are exact. The bins accumulate in int64 across
+    chunks and join the int once, and one correctly rounded integer division
+    gives the float.
 
     A value that is not finite or of magnitude 2**959 or more could overflow
     an intermediate sum of math.fsum: if a chunk holds one, the chunks are
@@ -610,9 +612,9 @@ def _exact_sum(chunks: Iterable[np.ndarray], whole: Callable[[], np.ndarray]) ->
             total += int(part * 2.0**53) << (exponent - _MIN_EXPONENT)
             r = np.subtract(r, q, out=rest)
         else:
-            left = np.count_nonzero(r)
-            if left:
-                mantissa, exponent = np.frexp(r[r != 0] if 2 * left < n else r)
+            r = r[r != 0]
+            if len(r):
+                mantissa, exponent = np.frexp(r)
                 exponent -= _MIN_EXPONENT
                 scaled = mantissa * 2.0**53
                 hi = np.floor(scaled * 2.0**-26)
