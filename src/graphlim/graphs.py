@@ -238,35 +238,57 @@ def format_edge_list(
 
     The arrays must satisfy what LabeledMultigraph enforces: endpoints in
     range, u < v, pairs strictly increasing, multiplicities at least 1. They
-    are checked with numpy before anything is formatted. Each node's name is
-    formatted once, and the lines of one u share their prefix.
+    are checked with numpy before anything is formatted.
+
+    The text is built in numpy as one byte table, with no Python object per
+    edge. Each id is formatted once, NUL-padded to the width w of the
+    largest, behind a newline for the first endpoint and behind a space for
+    the second. The names cover every id below the largest endpoint, or,
+    when that is more than twice the edge count, just the endpoints where
+    they stand. Edge k's row gathers the names of us[k] and vs[k] and
+    " mults[k]" where that is not 1; dropping the NULs leaves the edge lines,
+    decoded once. Without multiplicities the peak beyond the inputs is about
+    three copies of the 2 (w + 1)-byte rows (the rows, their NUL mask and
+    the text), 6 (w + 1) bytes per edge, and never less than the 20 bytes
+    per edge of the checks.
     """
     LabeledMultigraph(node_count, (), tuple(labels))  # checks node count and labels
     us, vs = np.asarray(us), np.asarray(vs)
     if mults is not None:
         mults = np.asarray(mults)
     _check_edge_arrays(node_count, us, vs, mults)
-    ul, vl = us.tolist(), vs.tolist()
-    top = int(vs.max()) + 1 if vl else 0
-    # every id below the largest endpoint, unless the ids are sparse
-    ids = range(top) if top <= 2 * len(vl) else set(ul).union(vl)
-    names = dict(zip(ids, map(str, ids)))
-    tails = list(map(names.__getitem__, vl))
-    if mults is not None:
-        for k in np.flatnonzero(mults != 1).tolist():
-            tails[k] += f" {mults[k]}"
-    out = [f"{node_count} {len(vl)}"]
-    bounds = [0, *(np.flatnonzero(np.diff(us)) + 1).tolist(), len(vl)] if vl else [0]
-    for a, b in zip(bounds, bounds[1:]):
-        head = names[ul[a]] + " "
-        out.append(head + ("\n" + head).join(tails[a:b]))
-    out.extend(f"label {node} {lab}" for node, lab in labels)
-    return "\n".join(out) + "\n"
+    count = len(us)
+    top = int(vs.max()) + 1 if count else 1
+    if top <= 2 * count:
+        ids = np.arange(top)  # object endpoints, from serialize_graph, become indices
+        us, vs = us.astype(np.intp, copy=False), vs.astype(np.intp, copy=False)
+    else:
+        ids, us, vs = np.concatenate((us, vs)), np.arange(count), np.arange(count, 2 * count)
+    names = ids.astype(f"S{len(str(top - 1))}")
+    firsts, seconds = b"\n" + names, b" " + names
+    heavy = np.flatnonzero(mults != 1) if mults is not None else ()
+    if len(heavy):
+        extra = np.array([f" {m}" for m in mults[heavy].tolist()], dtype=bytes)
+        rows = np.zeros((count, 3), dtype=f"S{max(firsts.itemsize, extra.itemsize)}")
+        rows[heavy, 2] = extra
+    else:
+        rows = np.empty((count, 2), dtype=firsts.dtype)
+    rows[:, 0], rows[:, 1] = firsts.take(us), seconds.take(vs)
+    cells = rows.view(np.uint8)
+    body = cells[cells != 0]
+    del rows, cells
+    labels_text = "".join(f"\nlabel {node} {lab}" for node, lab in labels)
+    return "".join((f"{node_count} {count}", str(body, "ascii"), labels_text, "\n"))
 
 
 def serialize_graph(graph: LabeledMultigraph) -> str:
     """Inverse of parse_graph; edges sorted lexicographically, mult 1 omitted."""
-    us, vs, mults = np.array(graph.edges).reshape(-1, 3).T
+    # numpy would infer float64 for a mix of int64 and uint64-range ints
+    try:
+        edges = np.array(graph.edges, dtype=np.int64)
+    except OverflowError:
+        edges = np.array(graph.edges, dtype=object)
+    us, vs, mults = edges.reshape(-1, 3).T
     return format_edge_list(graph.node_count, us, vs, mults, graph.labels)
 
 

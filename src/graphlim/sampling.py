@@ -17,6 +17,12 @@ command) and `sample_wrandom` read the edges from the triangle; the
 convergence experiment mirrors it into a symmetric uint8 adjacency matrix
 and counts homomorphisms on that. The arrays of one draw, 19 n^2 / 2 bytes
 at their peak, must fit MAX_SAMPLE_BYTES.
+
+`serialize_sample` writes the text with `format_edge_list`, which builds it
+as one NUL-padded byte table of 2 (w + 1) bytes per edge for w-digit ids
+and keeps about three copies of that at its peak. Before the endpoint
+arrays are made, the drawn edge count predicts the peak of extracting and
+writing them, and that must fit MAX_SAMPLE_BYTES too.
 """
 
 from __future__ import annotations
@@ -42,11 +48,15 @@ from .streams import (
     weight_thresholds,
 )
 
-# budget for the arrays of one sample; _sample_bytes predicts their peak
+# budget for the arrays of one sample; _sample_bytes predicts their peak,
+# and _text_bytes that of its text
 MAX_SAMPLE_BYTES = 1 << 30
 # peak bytes of a draw per node pair, n^2 / 2 of them: the uint64 coin and
 # pair threshold, the boolean hit and two cells of the n x n triangle mask
 _BYTES_PER_PAIR = 19
+# peak bytes of a sample's text per edge beside the writer's: the int64
+# endpoints
+_BYTES_PER_EDGE = 16
 
 _Thresholds = tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -56,6 +66,27 @@ def _sample_bytes(n: int) -> int:
     the n x n boolean triangle mask, the uint64 coins and pair thresholds in
     packed order and the boolean hits are alive, 19 n^2 / 2 bytes."""
     return _BYTES_PER_PAIR * n * n // 2
+
+
+def _writer_bytes(n: int, edges: int) -> int:
+    """Predicted peak bytes of format_edge_list on the endpoints of an
+    n-node sample: per edge three copies of its 2 (w + 1)-byte row for
+    w-digit ids, or the 20 bytes of the array checks where that is more."""
+    return edges * max(20, 6 * (len(str(n - 1)) + 1))
+
+
+def _text_bytes(n: int, edges: int) -> int:
+    """Predicted peak bytes of writing the text of an n-node sample with
+    the given edge count: the triangle and its transposed copy, 2 n^2, while
+    the endpoints are extracted, then the endpoints and the writer's peak."""
+    return 2 * n * n + _BYTES_PER_EDGE * edges + _writer_bytes(n, edges)
+
+
+def _check_budget(what: str, need: int) -> None:
+    if need > MAX_SAMPLE_BYTES:
+        raise ValueError(
+            f"{what} needs about {need} bytes, over the budget of {MAX_SAMPLE_BYTES} bytes"
+        )
 
 
 def _thresholds(graphon: StepGraphon, n: int) -> _Thresholds:
@@ -68,12 +99,7 @@ def _thresholds(graphon: StepGraphon, n: int) -> _Thresholds:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    need = _sample_bytes(n)
-    if need > MAX_SAMPLE_BYTES:
-        raise ValueError(
-            f"a sample on {n} nodes needs about {need} bytes, "
-            f"over the budget of {MAX_SAMPLE_BYTES} bytes"
-        )
+    _check_budget(f"a sample on {n} nodes", _sample_bytes(n))
     r, nw, q, nv = graphon.integer_tables
     if not (0 <= nv.min() and nv.max() <= q):
         v = next(v for row in graphon.values for v in row if not 0 <= v <= 1)
@@ -119,11 +145,11 @@ def _sample_adjacency(graphon: StepGraphon, n: int, seed: int) -> np.ndarray:
     return _draw_adjacency(_thresholds(graphon, n), n, seed)
 
 
-def _sample_edges(graphon: StepGraphon, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint arrays (u, v), u < v, of the sample's edges in lexicographic
-    order: the row-major positions of the ones of the transposed triangle."""
-    edges = _draw_triangle(_thresholds(graphon, n), n, seed)
-    return np.divmod(np.flatnonzero(edges.T), n)
+def _triangle_edges(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays (u, v), u < v, of a drawn triangle's edges in
+    lexicographic order: the row-major positions of the ones of the
+    transposed triangle."""
+    return np.divmod(np.flatnonzero(edges.T), len(edges))
 
 
 def sample_wrandom(graphon: StepGraphon, n: int, seed: int) -> LabeledMultigraph:
@@ -132,14 +158,21 @@ def sample_wrandom(graphon: StepGraphon, n: int, seed: int) -> LabeledMultigraph
     Deterministic per (graphon, n, seed); growing n extends the sample
     instead of reshuffling it.
     """
-    rows, cols = _sample_edges(graphon, n, seed)
+    rows, cols = _triangle_edges(_draw_triangle(_thresholds(graphon, n), n, seed))
     return LabeledMultigraph(n, tuple(zip(rows.tolist(), cols.tolist(), repeat(1))))
 
 
 def serialize_sample(graphon: StepGraphon, n: int, seed: int) -> str:
     """serialize_graph(sample_wrandom(graphon, n, seed)), written from the
-    adjacency without building a graph object."""
-    return format_edge_list(n, *_sample_edges(graphon, n, seed))
+    drawn triangle without building a graph object. The text's predicted
+    peak, _text_bytes, is checked against MAX_SAMPLE_BYTES on the drawn
+    edge count before the endpoints are extracted."""
+    edges = _draw_triangle(_thresholds(graphon, n), n, seed)
+    count = int(np.count_nonzero(edges))
+    _check_budget(f"the text of a sample on {n} nodes with {count} edges", _text_bytes(n, count))
+    us, vs = _triangle_edges(edges)
+    del edges
+    return format_edge_list(n, us, vs)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from graphlim import (
     ConvergenceReport,
+    LabeledMultigraph,
     SizeStats,
     blowup,
     constant,
@@ -38,7 +39,15 @@ from graphlim.corpus import (
     star_graph,
 )
 from graphlim.graphs import format_edge_list, serialize_graph
-from graphlim.sampling import _sample_adjacency, _sample_bytes
+from graphlim.sampling import (
+    _draw_triangle,
+    _sample_adjacency,
+    _sample_bytes,
+    _text_bytes,
+    _thresholds,
+    _triangle_edges,
+    _writer_bytes,
+)
 from graphlim.streams import (
     DOMAIN_CHILD_SEEDS,
     DOMAIN_SAMPLE_EDGES,
@@ -268,6 +277,19 @@ def test_sample_golden():
     )
 
 
+def test_sample_golden_with_four_digit_ids():
+    """Recorded from the per-line writer; pins ids of one to four digits."""
+    h = step_graphon(
+        ["1/6", "1/3", "1/2"],
+        [["1/7", "6/7", "0"], ["6/7", "1/2", "2/5"], ["0", "2/5", "1"]],
+    )
+    text = serialize_sample(h, 1200, 20261018)
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "54fc547f78eb70816aabc535feeb97b0433d37e808d5dd2d6d93629b811f033e"
+    )
+
+
 DOMAINS = [getattr(streams, name) for name in dir(streams) if name.startswith("DOMAIN_")]
 
 
@@ -354,6 +376,123 @@ def test_edge_list_writer_checks_its_arrays():
             format_edge_list(4, np.array(us), np.array(vs))
     with pytest.raises(ValueError, match="multiplicity"):
         format_edge_list(4, np.array([0]), np.array([1]), np.array([0]))
+
+
+def _reference_edge_list(node_count, edges, labels=()):
+    """The graph-file text written line by line."""
+    lines = [f"{node_count} {len(edges)}"]
+    lines += [f"{u} {v}" + (f" {m}" if m != 1 else "") for u, v, m in edges]
+    lines += [f"label {node} {lab}" for node, lab in labels]
+    return "\n".join(lines) + "\n"
+
+
+def _check_writer(node_count, edges, labels=()):
+    """format_edge_list, with and without multiplicities, and serialize_graph
+    against the reference, and the text parsed back."""
+    expected = _reference_edge_list(node_count, edges, labels)
+    us = np.array([u for u, _, _ in edges], dtype=np.int64)
+    vs = np.array([v for _, v, _ in edges], dtype=np.int64)
+    mults = np.array([m for _, _, m in edges], dtype=object)
+    assert format_edge_list(node_count, us, vs, mults, labels) == expected
+    if all(m == 1 for _, _, m in edges):
+        assert format_edge_list(node_count, us, vs, labels=labels) == expected
+    graph = LabeledMultigraph(node_count, tuple(edges), tuple(labels))
+    assert serialize_graph(graph) == expected
+    assert parse_graph(expected) == graph
+
+
+@st.composite
+def _edge_lists(draw):
+    node_count = draw(st.integers(2, 60))
+    ids = st.integers(0, node_count - 1)
+    pairs = draw(st.sets(st.tuples(ids, ids).filter(lambda p: p[0] < p[1]), max_size=90))
+    mult = st.one_of(st.just(1), st.integers(2, 12), st.integers(2**63 - 2, 2**70))
+    edges = [(u, v, draw(mult)) for u, v in sorted(pairs)]
+    nodes = draw(st.lists(ids, unique=True, max_size=4))
+    labs = draw(st.lists(st.integers(0, 10**6), unique=True, min_size=len(nodes), max_size=len(nodes)))
+    return node_count, edges, sorted(zip(nodes, labs))
+
+
+@given(_edge_lists())
+@example((1, [], []))
+@example((5, [], [(0, 2), (4, 0)]))
+@example((3, [(0, 1, 2**63), (1, 2, 1)], []))  # numpy infers float64 for this mix
+@example((4, [(0, 1, 2**63 + 5), (0, 3, 2**64 - 1), (2, 3, 1)], [(3, 9)]))
+@settings(max_examples=150, deadline=None)
+def test_edge_list_writer_matches_the_line_by_line_reference(case):
+    _check_writer(*case)
+
+
+@pytest.mark.parametrize("top", [10, 100, 1000, 10000])
+def test_edge_list_writer_at_digit_width_boundaries(top):
+    """Ids on both sides of a digit-width step, through the table of every
+    id (a star on 0..top) and through per-endpoint names (one edge)."""
+    star = [(0, v, 1 + (v % 7 == 0)) for v in range(1, top + 1)]
+    _check_writer(top + 1, star, [(top - 1, 0), (top, 1)])
+    _check_writer(top + 1, [(top - 1, top, 1)])
+    _check_writer(top + 1, [(top - 2, top - 1, 3), (top - 1, top, 1)])
+
+
+def test_edge_list_writer_on_sparse_ids_allocates_nothing_per_node():
+    edges = [(0, 10**11, 1), (5, 10**12 - 1, 2), (10**12 - 2, 10**12 - 1, 2**64 + 1)]
+    _check_writer(10**12, edges, [(10**12 - 1, 3)])
+    us, vs = np.array([0, 5]), np.array([10**11, 10**12 - 1])
+    tracemalloc.start()
+    try:
+        text = format_edge_list(10**12, us, vs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "1000000000000 2\n0 100000000000\n5 999999999999\n"
+    assert peak < 65536
+
+
+def test_writer_bytes_bounds_the_measured_peak():
+    n = 300
+    us, vs = _triangle_edges(_draw_triangle(_thresholds(B, n), n, 1))
+    format_edge_list(n, us[:3], vs[:3])  # first use allocates caches
+    tracemalloc.start()
+    try:
+        format_edge_list(n, us, vs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _writer_bytes(n, len(us)) == 24 * len(us)
+    assert 0.9 * _writer_bytes(n, len(us)) <= peak <= _writer_bytes(n, len(us)) + 65536
+
+
+@pytest.mark.parametrize("graphon", [B, constant(F(1))], ids=["bipartite", "complete"])
+def test_sample_text_peak_is_inside_the_predictions(graphon):
+    n = 300
+    count = len(serialize_sample(graphon, n, 1).splitlines()) - 1
+    tracemalloc.start()
+    try:
+        serialize_sample(graphon, n, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(_sample_bytes(n), _text_bytes(n, count)) + 256 * n + 65536
+
+
+def test_sample_text_memory_guard(monkeypatch, tmp_path, capsys):
+    n = 40
+    count = len(sample_wrandom(B, n, 1).edges)
+    need = _text_bytes(n, count)
+    assert need > _sample_bytes(n)
+    monkeypatch.setattr(sampling, "MAX_SAMPLE_BYTES", need)
+    assert serialize_sample(B, n, 1) == serialize_graph(sample_wrandom(B, n, 1))
+    monkeypatch.setattr(sampling, "MAX_SAMPLE_BYTES", need - 1)
+    monkeypatch.setattr(sampling, "_triangle_edges", None)  # refused before extraction
+    budget = (
+        f"the text of a sample on {n} nodes with {count} edges needs about {need} bytes, "
+        f"over the budget of {need - 1} bytes"
+    )
+    with pytest.raises(ValueError, match=budget):
+        serialize_sample(B, n, 1)
+    graphon = tmp_path / "b.json"
+    graphon.write_text(serialize_graphon(B))
+    assert run(["sample", str(graphon), "--n", str(n), "--seed", "1"]) == 1
+    assert budget in capsys.readouterr().err
 
 
 def test_sample_bytes_bounds_the_measured_peak():
