@@ -37,6 +37,7 @@ variance are math.fsum's correctly rounded sums, whatever the chunking.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -45,6 +46,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from . import threads
 from .graphons import BlackBoxKernel, StepGraphon, exact_power
 from .graphs import Edge, LabeledMultigraph, product, unlabel
 from .rational import format_float
@@ -271,7 +273,8 @@ class _Plan(NamedTuple):
     into a vector: `rows` holds (operand, pinned node, multiplicity), and
     `constants` the edges with both ends pinned. `live` numbers the operands
     left when the free nodes are summed out, and `final` contracts them onto
-    the kept nodes. `entries` is the predicted work, the summed bucket sizes.
+    the kept nodes. `entries` is the predicted work, the summed bucket sizes;
+    `blas` says whether a step contracts through BLAS.
     """
 
     tier: type
@@ -286,6 +289,7 @@ class _Plan(NamedTuple):
     live: tuple[int, ...]
     final: str
     entries: int
+    blas: bool
 
 
 @functools.lru_cache(maxsize=1024)
@@ -338,6 +342,7 @@ def _plan(
         tuple(live),
         _subscripts([scopes[i] for i in live], kept),
         sum(block_count ** len(step.scope) for step in steps),
+        any(step.pairs for step in steps),
     )
 
 
@@ -381,8 +386,10 @@ def _execute(
     operands += [powers[m] for m in plan.tables]
     for i, a, m in plan.rows:
         operands[i] = operands[i] * powers[m][pinned[a]]
-    for step in plan.steps:
-        operands.append(_contract(step, [operands[i] for i in step.operands]))
+    # BLAS on one thread, or it leaves a thread spinning after the call
+    with threads.one_blas_thread() if plan.blas else contextlib.nullcontext():
+        for step in plan.steps:
+            operands.append(_contract(step, [operands[i] for i in step.operands]))
     live = [operands[i] for i in plan.live]
     if plan.kept:
         table = np.einsum(plan.final, *live)
@@ -633,6 +640,35 @@ def _fsum(values: np.ndarray) -> float:
     return _exact_sum(chunks, lambda: values)
 
 
+def _coordinates(gen: np.random.Generator, samples: int, k: int) -> Iterator[np.ndarray]:
+    """The generator's next samples x k uniform coordinates, _FSUM_CHUNK
+    samples at a time, in stream order, drawn into two reused buffers.
+
+    The first chunk is drawn on the caller's thread. Each later chunk is
+    drawn on the package's worker thread (threads.pool) while the caller
+    uses the one before, so a chunk is overwritten once the caller asks
+    for the chunk after the next: the caller must be done with it by then.
+    Closing the generator waits for a draw in flight.
+    """
+    sizes = [min(_FSUM_CHUNK, samples - start) for start in range(0, samples, _FSUM_CHUNK)]
+    buffers = np.empty((2, sizes[0], k))
+
+    def draw(i: int) -> np.ndarray:
+        return gen.random((sizes[i], k), out=buffers[i % 2, : sizes[i]])
+
+    coords, pending = draw(0), None
+    try:
+        for i in range(1, len(sizes)):
+            pending = threads.pool().submit(draw, i)
+            yield coords
+            coords = pending.result()
+        pending = None
+        yield coords
+    finally:
+        if pending is not None and not pending.cancel():
+            pending.exception()  # waits; the caller's own error goes on
+
+
 def density_mc(
     motif: LabeledMultigraph, kernel: BlackBoxKernel, samples: int, seed: int
 ) -> Estimate:
@@ -641,11 +677,14 @@ def density_mc(
     Sample s uses coordinates number s*k .. s*k+k-1 of the (seed,
     DOMAIN_MC_COORDS) stream, node index order; the reduction is exact
     float summation, so any sharding of the work gives identical output.
-    The samples run in chunks of _FSUM_CHUNK, each drawn by one call on the
-    one generator, which continues the stream where the last call stopped.
-    In a chunk, each node's coordinates go through kernel.points once, and
-    each edge through kernel.evaluator once, in edge order; a pair that does
-    not take arrays is lifted elementwise by np.frompyfunc into the same loop.
+    The samples run in chunks of _FSUM_CHUNK from the one generator, read
+    in order: _coordinates draws the next chunk on the package's one
+    worker thread while this thread evaluates the current one, and waits
+    for that draw if the call stops early. The kernel and the sums never
+    leave the calling thread. In a chunk, each node's coordinates go
+    through kernel.points once, and each edge through kernel.evaluator
+    once, in edge order; a pair that does not take arrays is lifted
+    elementwise by np.frompyfunc into the same loop.
     Each chunk's values are summed (_exact_sum) as soon as they are written,
     while they are still in cache; the deviations from the mean are then
     formed, squared and summed one chunk at a time.
@@ -662,23 +701,23 @@ def density_mc(
             f"{samples} samples of {k} coordinates need {need} bytes, "
             f"over the budget of {MAX_MC_BYTES} bytes"
         )
-    gen = philox_stream(seed, DOMAIN_MC_COORDS)
     values = np.ones(samples)
     ev, points = kernel.evaluator, kernel.points
     if not _vectorized(kernel):
         ev, points = np.frompyfunc(ev, 2, 1), np.frompyfunc(points, 1, 1)
     starts = range(0, samples, _FSUM_CHUNK)
+    draws = _coordinates(philox_stream(seed, DOMAIN_MC_COORDS), samples, k)
 
     def products() -> Iterator[np.ndarray]:
-        for start in starts:
+        for start, coords in zip(starts, draws):
             out = values[start : start + _FSUM_CHUNK]
-            coords = gen.random((len(out), k))
             cols = [points(coords[:, x]) for x in range(k)]
             for u, v, m in motif.edges:
                 out *= np.asarray(ev(cols[u], cols[v]), dtype=float) ** m
             yield out
 
-    mean = _exact_sum(products(), lambda: values) / samples
+    with contextlib.closing(draws):
+        mean = _exact_sum(products(), lambda: values) / samples
     buffer = np.empty(min(samples, _FSUM_CHUNK))
 
     def squares() -> Iterator[np.ndarray]:

@@ -22,7 +22,9 @@ at their peak, must fit MAX_SAMPLE_BYTES.
 as one NUL-padded byte table of 2 (w + 1) bytes per edge for w-digit ids
 and keeps about three copies of that at its peak. Before the endpoint
 arrays are made, the drawn edge count predicts the peak of extracting and
-writing them, and that must fit MAX_SAMPLE_BYTES too.
+writing them, and that must fit MAX_SAMPLE_BYTES too. `sample_wrandom`
+checks its graph object's predicted peak, which also grows with the edge
+count, in the same way.
 """
 
 from __future__ import annotations
@@ -57,6 +59,10 @@ _BYTES_PER_PAIR = 19
 # peak bytes of a sample's text per edge beside the writer's: the int64
 # endpoints
 _BYTES_PER_EDGE = 16
+# peak bytes per edge of sample_wrandom's graph object: the int64 endpoints,
+# two Python ints, the edge tuple, and the pair tuple and hash slots of the
+# graph's validation set; tracemalloc measured up to 268 on dense samples
+_GRAPH_BYTES_PER_EDGE = 272
 
 _Thresholds = tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -156,9 +162,16 @@ def sample_wrandom(graphon: StepGraphon, n: int, seed: int) -> LabeledMultigraph
     """Simple graph on n nodes with independent edges of block-pair probability.
 
     Deterministic per (graphon, n, seed); growing n extends the sample
-    instead of reshuffling it.
+    instead of reshuffling it. The graph object's predicted peak,
+    _GRAPH_BYTES_PER_EDGE per drawn edge, is checked against
+    MAX_SAMPLE_BYTES before its edges are built.
     """
-    rows, cols = _triangle_edges(_draw_triangle(_thresholds(graphon, n), n, seed))
+    edges = _draw_triangle(_thresholds(graphon, n), n, seed)
+    count = int(np.count_nonzero(edges))
+    need = _GRAPH_BYTES_PER_EDGE * count
+    _check_budget(f"the graph of a sample on {n} nodes with {count} edges", need)
+    rows, cols = _triangle_edges(edges)
+    del edges
     return LabeledMultigraph(n, tuple(zip(rows.tolist(), cols.tolist(), repeat(1))))
 
 

@@ -13,7 +13,9 @@ value `Generator.integers` draws on [0, RESOLUTION), because its bounded
 draw (Lemire, ACM TOMACS 2019) on the power-of-two range 2^63 keeps the high
 bits of one word and never rejects.
   - Monte Carlo density: stream (seed, DOMAIN_MC_COORDS); the coordinate of
-    node i in sample s is variate number s*k + i, k = node count.
+    node i in sample s is variate number s*k + i, k = node count. One
+    generator is read in order, chunk after chunk, on whichever thread
+    draws the chunk, so the layout holds without positioning.
   - W-random nodes: stream (seed, DOMAIN_SAMPLE_NODES); the block of vertex
     i is decided by variate number i, so vertex sequences for different n
     and one seed are prefixes of each other.

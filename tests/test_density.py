@@ -1,7 +1,12 @@
 import itertools
 import math
+import os
 import random
+import signal
 import sys
+import time
+import warnings
+from concurrent import futures
 from fractions import Fraction as F
 from unittest import mock
 
@@ -27,7 +32,7 @@ from graphlim import (
     unlabel,
 )
 import graphlim.density as density_module
-from graphlim import serialize_graph, serialize_graphon
+from graphlim import serialize_graph, serialize_graphon, threads
 from graphlim.cli import run
 from graphlim.corpus import complete_graph, cycle_graph, graphon_corpus, path_graph
 from graphlim.streams import DOMAIN_MC_COORDS, philox_stream
@@ -526,6 +531,81 @@ def test_density_mc_goldens(motif, kernel, samples, seed, text, mean, stderr):
     value = density_mc(MC_MOTIFS[motif], MC_KERNELS[kernel], samples, seed)
     assert str(value) == text
     assert value == (mean, stderr, samples)
+
+
+# a golden of several chunks, drawn on the worker thread
+MC_GOLDEN = ("C5", "step-padded", 131073, 23), (0.01103462109560472, 4.718552179454818e-05)
+
+
+def _mc_golden() -> bool:
+    (motif, kernel, samples, seed), (mean, stderr) = MC_GOLDEN
+    return density_mc(MC_MOTIFS[motif], MC_KERNELS[kernel], samples, seed) == (
+        mean, stderr, samples)
+
+
+class _InlineExecutor(futures.Executor):
+    def submit(self, fn, *args):
+        future = futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("kernel", ["step-mixed", "product", "minimum"])
+def test_density_mc_draws_the_same_without_the_worker(monkeypatch, kernel):
+    args = MC_MOTIFS["K3m2"], MC_KERNELS[kernel], 3 * density_module._FSUM_CHUNK + 5, 4
+    threaded = density_mc(*args)
+    monkeypatch.setattr(threads, "pool", _InlineExecutor)
+    assert density_mc(*args) == threaded
+
+
+class _Stop(BaseException):
+    """Like a time-out signal's exception: not an Exception."""
+
+
+@pytest.mark.parametrize("error", [RuntimeError, _Stop])
+def test_density_mc_waits_for_its_draw_when_the_caller_stops(monkeypatch, error):
+    # the kernel raises on chunk 3 while chunk 4 is being drawn, slowly
+    real, submitted, calls = threads.pool(), [], []
+
+    class Recording(futures.Executor):
+        def submit(self, fn, *args):
+            submitted.append(real.submit(lambda: (time.sleep(0.2), fn(*args))[1]))
+            return submitted[-1]
+
+    def evaluator(x, y):
+        calls.append(1)
+        if len(calls) == 4:  # the probe, then chunks 1, 2 and 3
+            raise error("chunk 3")
+        return x * y
+
+    monkeypatch.setattr(threads, "pool", Recording)
+    with pytest.raises(error, match="chunk 3"):
+        density_mc(K2, BlackBoxKernel(evaluator), 5 * density_module._FSUM_CHUNK, 1)
+    assert len(submitted) == 3 and all(f.done() for f in submitted)
+    monkeypatch.undo()
+    assert _mc_golden()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_density_mc_in_a_forked_child():
+    assert _mc_golden()  # the parent's worker thread is running
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if _mc_golden() else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("density_mc hung in the forked child")
+        time.sleep(0.02)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def _same_fsum(values: list[float]) -> None:

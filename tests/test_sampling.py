@@ -40,6 +40,7 @@ from graphlim.corpus import (
 )
 from graphlim.graphs import format_edge_list, serialize_graph
 from graphlim.sampling import (
+    _GRAPH_BYTES_PER_EDGE,
     _draw_triangle,
     _sample_adjacency,
     _sample_bytes,
@@ -479,8 +480,9 @@ def test_sample_text_memory_guard(monkeypatch, tmp_path, capsys):
     count = len(sample_wrandom(B, n, 1).edges)
     need = _text_bytes(n, count)
     assert need > _sample_bytes(n)
+    expected = serialize_graph(sample_wrandom(B, n, 1))
     monkeypatch.setattr(sampling, "MAX_SAMPLE_BYTES", need)
-    assert serialize_sample(B, n, 1) == serialize_graph(sample_wrandom(B, n, 1))
+    assert serialize_sample(B, n, 1) == expected
     monkeypatch.setattr(sampling, "MAX_SAMPLE_BYTES", need - 1)
     monkeypatch.setattr(sampling, "_triangle_edges", None)  # refused before extraction
     budget = (
@@ -493,6 +495,37 @@ def test_sample_text_memory_guard(monkeypatch, tmp_path, capsys):
     graphon.write_text(serialize_graphon(B))
     assert run(["sample", str(graphon), "--n", str(n), "--seed", "1"]) == 1
     assert budget in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("graphon", [B, constant(F(1))], ids=["bipartite", "complete"])
+@pytest.mark.parametrize("n", [104, 300])
+def test_sample_graph_peak_is_inside_the_prediction(graphon, n):
+    count = len(sample_wrandom(graphon, n, 1).edges)
+    tracemalloc.start()
+    try:
+        sample_wrandom(graphon, n, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(_sample_bytes(n), _GRAPH_BYTES_PER_EDGE * count) + 256 * n + 65536
+
+
+def test_sample_graph_memory_guard(monkeypatch):
+    n = 40
+    expected = sample_wrandom(B, n, 1)
+    count = len(expected.edges)
+    need = _GRAPH_BYTES_PER_EDGE * count
+    assert need > _sample_bytes(n)
+    monkeypatch.setattr(sampling, "MAX_SAMPLE_BYTES", need)
+    assert sample_wrandom(B, n, 1) == expected
+    monkeypatch.setattr(sampling, "MAX_SAMPLE_BYTES", need - 1)
+    monkeypatch.setattr(sampling, "_triangle_edges", None)  # refused before extraction
+    budget = (
+        f"the graph of a sample on {n} nodes with {count} edges needs about {need} bytes, "
+        f"over the budget of {need - 1} bytes"
+    )
+    with pytest.raises(ValueError, match=budget):
+        sample_wrandom(B, n, 1)
 
 
 def test_sample_bytes_bounds_the_measured_peak():
@@ -510,7 +543,8 @@ def test_sample_bytes_bounds_the_measured_peak():
 
 def test_sample_memory_guard(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(sampling, "MAX_SAMPLE_BYTES", _sample_bytes(40))
-    assert sample_wrandom(B, 40, 1).node_count == 40
+    # the draw fits; sample_wrandom's graph object has its own, larger need
+    assert _sample_adjacency(B, 40, 1).shape == (40, 40)
     budget = f"{_sample_bytes(41)} bytes, over the budget of {_sample_bytes(40)} bytes"
     with pytest.raises(ValueError, match=budget):
         sample_wrandom(B, 41, 1)
