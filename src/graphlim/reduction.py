@@ -6,9 +6,12 @@ blocks) is density preserving, and exact matching of the twin-free reduced
 forms decides weak isomorphism for step graphons. Couplings between weakly
 isomorphic graphons are built from the shared reduced form, class by class.
 
-All of it computes on the integer tables of StepGraphon.integer_tables: the
-weights and values as Python ints over their least common denominators.
-Fractions are built only for the results.
+Twin classes, twin reduction, weak isomorphism and couplings read the tuple
+fields of StepGraphon: weights and values as Python ints over their least
+common denominators. Twins agree on every positive-weight column, so the
+reduced form keeps each class's first member, with the class's total weight,
+and averages nothing. Only quotient by an arbitrary partition averages, on
+StepGraphon.integer_tables. Fractions are built only for the results.
 """
 
 from __future__ import annotations
@@ -17,12 +20,14 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import chain
+from operator import itemgetter
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .density import density_exact
-from .graphons import StepGraphon
+from .graphons import StepGraphon, _json_array
 from .graphs import LabeledMultigraph, enumerate_simple_graphs
 from .rational import format_rational, parse_rational
 from .streams import DOMAIN_ANCHORS, draw_blocks, philox_stream, weight_thresholds
@@ -87,18 +92,23 @@ def parse_partition(text: str, block_count: int) -> BlockPartition:
     return BlockPartition(tuple(class_of[b] for b in range(block_count)))
 
 
-def _row_keys(
-    graphon: StepGraphon, rows: Sequence[int], cols: Sequence[int]
-) -> list[tuple[int, ...]]:
-    """Integer value rows restricted to cols: equal keys mean equal rows."""
-    table = graphon.integer_tables[3].tolist()
-    return [tuple(table[i][j] for j in cols) for i in rows]
+def _picker(cols: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """Row -> its entries at cols, always a tuple (itemgetter of one column
+    returns the entry itself)."""
+    if len(cols) == 1:
+        (c,) = cols
+        return lambda row: (row[c],)
+    return itemgetter(*cols)
+
+
+def _positive_blocks(graphon: StepGraphon) -> list[int]:
+    return [b for b, w in enumerate(graphon._nw) if w > 0]
 
 
 def twin_partition(graphon: StepGraphon) -> BlockPartition:
     """Group blocks whose rows agree on all positive-weight columns."""
-    positive = [j for j, w in enumerate(graphon.integer_tables[1]) if w > 0]
-    return BlockPartition.from_keys(_row_keys(graphon, range(graphon.block_count), positive))
+    key = _picker(_positive_blocks(graphon))
+    return BlockPartition.from_keys(list(map(key, graphon._table)))
 
 
 def quotient(graphon: StepGraphon, partition: BlockPartition) -> StepGraphon:
@@ -148,16 +158,34 @@ def twin_reduce(graphon: StepGraphon) -> StepGraphon:
 
 
 def _twin_reduce_with_map(graphon: StepGraphon) -> tuple[StepGraphon, dict[int, int]]:
-    """Reduced form plus original positive-weight block -> reduced class."""
-    kept = [b for b, w in enumerate(graphon.integer_tables[1]) if w > 0]
-    # twins among the positive-weight blocks; every class has positive
-    # weight, so class ids are the block indices of the reduced form
-    partition = BlockPartition.from_keys(_row_keys(graphon, kept, kept))
-    classes: list[list[int]] = [[] for _ in range(partition.class_count)]
-    for b, cid in zip(kept, partition.class_of):
-        classes[cid].append(b)
-    block_map = dict(zip(kept, partition.class_of))
-    return _merge_classes(graphon, classes), block_map
+    """Reduced form plus original positive-weight block -> reduced class.
+
+    Twins among the positive-weight blocks agree on every positive-weight
+    column, so each class's averaged value equals the value between the
+    first members of the two classes: the reduced table is the first
+    members' rows and columns over the same q, and a class weighs the sum
+    of its members' weights over the same r. StepGraphon restores lowest
+    terms. Class ids follow first appearance and index the reduced blocks.
+    """
+    nw, table = graphon._nw, graphon._table
+    kept = _positive_blocks(graphon)
+    key = _picker(kept)
+    class_id: dict[tuple[int, ...], int] = {}
+    firsts: list[int] = []
+    weights: list[int] = []
+    block_map: dict[int, int] = {}
+    for b in kept:
+        c = class_id.setdefault(key(table[b]), len(firsts))
+        if c == len(firsts):
+            firsts.append(b)
+            weights.append(nw[b])
+        else:
+            weights[c] += nw[b]
+        block_map[b] = c
+    first = _picker(firsts)
+    reduced = tuple(first(table[b]) for b in firsts)
+    form = StepGraphon(graphon._r, tuple(weights), graphon._q, reduced, graphon.value_range)
+    return form, block_map
 
 
 def anchor_tags(
@@ -182,7 +210,7 @@ def random_anchors(graphon: StepGraphon, m: int, seed: int) -> list[int]:
     if m == 0:
         return []
     gen = philox_stream(seed, DOMAIN_ANCHORS)
-    thresholds = weight_thresholds(*graphon.integer_tables[:2])
+    thresholds = weight_thresholds(graphon._r, graphon._nw)
     return [int(b) for b in draw_blocks(gen, thresholds, m)]
 
 
@@ -216,13 +244,16 @@ class WeakIsoVerdict:
             raise ValueError("exactly one of bijection/witness must be set")
 
 
-def _row_profiles(weights: Sequence[int], values: list[list[int]]) -> list[tuple]:
+def _row_profiles(weights: Sequence[int], values: Sequence[Sequence[int]]) -> list[tuple]:
     """Per block: its weight and the sorted (value, weight) pairs of its row."""
     return [(w, tuple(sorted(zip(row, weights)))) for w, row in zip(weights, values)]
 
 
 def _find_bijection(
-    w1: Sequence[int], v1: list[list[int]], w2: Sequence[int], v2: list[list[int]]
+    w1: Sequence[int],
+    v1: Sequence[Sequence[int]],
+    w2: Sequence[int],
+    v2: Sequence[Sequence[int]],
 ) -> tuple[int, ...] | None:
     """Backtracking over blocks ordered by (weight, row profile)."""
     n = len(w1)
@@ -280,8 +311,8 @@ def _match_reduced(r1: StepGraphon, r2: StepGraphon) -> WeakIsoVerdict:
             False,
             witness=f"reduced block counts differ: {r1.block_count} vs {r2.block_count}",
         )
-    ra, w1, qa, va = r1.integer_tables
-    rb, w2, qb, vb = r2.integer_tables
+    ra, w1, qa, v1 = r1._r, r1._nw, r1._q, r1._table
+    rb, w2, qb, v2 = r2._r, r2._nw, r2._q, r2._table
     if ra != rb or sorted(w1) != sorted(w2):
         return WeakIsoVerdict(
             False,
@@ -289,9 +320,8 @@ def _match_reduced(r1: StepGraphon, r2: StepGraphon) -> WeakIsoVerdict:
             f"{[format_rational(w) for w in sorted(r1.weights)]} vs "
             f"{[format_rational(w) for w in sorted(r2.weights)]}",
         )
-    if qa != qb or sorted(va.flat) != sorted(vb.flat):
+    if qa != qb or sorted(chain.from_iterable(v1)) != sorted(chain.from_iterable(v2)):
         return WeakIsoVerdict(False, witness="value multisets differ")
-    v1, v2 = va.tolist(), vb.tolist()
     bijection = _find_bijection(w1, v1, w2, v2)
     if bijection is None:
         return WeakIsoVerdict(
@@ -355,6 +385,8 @@ class CouplingMatrix:
         if not self.masses:
             raise ValueError("empty coupling")
         width = len(self.masses[0])
+        if not width:
+            raise ValueError("empty coupling")
         for row in self.masses:
             if len(row) != width:
                 raise ValueError("ragged mass matrix")
@@ -392,9 +424,9 @@ def build_coupling(h1: StepGraphon, h2: StepGraphon) -> CouplingMatrix | None:
     u, map1, map2 = cq
     # with weights n_i / r_1, n'_j / r_2 and W_c = a_c / b, the mass of a pair
     # in class c is n_i n'_j b / (r_1 r_2 a_c)
-    r1, n1 = h1.integer_tables[:2]
-    r2, n2 = h2.integer_tables[:2]
-    b, nu = u.integer_tables[:2]
+    r1, n1 = h1._r, h1._nw
+    r2, n2 = h2._r, h2._nw
+    b, nu = u._r, u._nw
     members1: list[list[int]] = [[] for _ in range(u.block_count)]
     members2: list[list[int]] = [[] for _ in range(u.block_count)]
     for i, c in map1.items():
@@ -413,12 +445,23 @@ def build_coupling(h1: StepGraphon, h2: StepGraphon) -> CouplingMatrix | None:
 
 
 def serialize_coupling(coupling: CouplingMatrix) -> str:
-    payload = {
-        "rows": coupling.row_count,
-        "cols": coupling.col_count,
-        "masses": [[format_rational(m) for m in row] for row in coupling.masses],
-    }
-    return json.dumps(payload, indent=1) + "\n"
+    """json.dumps(indent=1) of rows, cols and the masses as "p/q" strings,
+    written in one join: each distinct mass is encoded once, keyed by its
+    (numerator, denominator), which hashes faster than the Fraction."""
+    token: dict[tuple[int, int], str] = {}
+
+    def encode(m: Fraction) -> str:
+        key = (m.numerator, m.denominator)
+        text = token.get(key)
+        if text is None:
+            text = token[key] = json.dumps(format_rational(m))
+        return text
+
+    rows_text = [_json_array(list(map(encode, row)), 2) for row in coupling.masses]
+    return (
+        f'{{\n "rows": {coupling.row_count},\n "cols": {coupling.col_count},\n'
+        f' "masses": {_json_array(rows_text, 1)}\n}}\n'
+    )
 
 
 def parse_coupling(text: str) -> CouplingMatrix:
@@ -428,11 +471,11 @@ def parse_coupling(text: str) -> CouplingMatrix:
         raise ValueError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or "masses" not in payload:
         raise ValueError("coupling file needs a 'masses' matrix")
-    masses = tuple(
-        tuple(parse_rational(entry) for entry in row) for row in payload["masses"]
-    )
-    coupling = CouplingMatrix(masses)
+    rows = payload["masses"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("'masses' must be an array of arrays")
+    coupling = CouplingMatrix(tuple(tuple(map(parse_rational, row)) for row in rows))
     for key, expect in (("rows", coupling.row_count), ("cols", coupling.col_count)):
         if key in payload and payload[key] != expect:
-            raise ValueError(f"{key}={payload[key]} does not match matrix shape {expect}")
+            raise ValueError(f"{key}={payload[key]!r} does not match matrix shape {expect}")
     return coupling

@@ -1,4 +1,6 @@
 import itertools
+import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from graphlim import (
     BlockPartition,
+    CouplingMatrix,
+    affine_rescale,
     anchor_tags,
     anchored_quotient,
     blowup,
@@ -18,17 +22,20 @@ from graphlim import (
     find_distinguishing_graph,
     mixed_moment,
     parse_coupling,
+    parse_graphon,
     quotient,
     random_anchors,
     render_verdict,
     serialize_coupling,
+    serialize_graphon,
     step_graphon,
     twin_partition,
     twin_reduce,
     weak_iso,
 )
 from graphlim.corpus import graphon_corpus, weakly_isomorphic_pairs
-from graphlim.reduction import discrete_partition, parse_partition
+from graphlim.rational import format_rational
+from graphlim.reduction import _twin_reduce_with_map, discrete_partition, parse_partition
 
 from conftest import step_graphons
 
@@ -306,6 +313,65 @@ def test_coupling_round_trip():
         parse_coupling('{"masses": [["1"]], "rows": 5}')
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"masses": 5}', "'masses' must be an array of arrays"),
+        ('{"masses": [5]}', "'masses' must be an array of arrays"),
+        ('{"masses": [["1"], 5]}', "'masses' must be an array of arrays"),
+        ('{"masses": []}', "empty coupling"),
+        ('{"masses": [[]]}', "empty coupling"),
+        ('{"masses": [[], []]}', "empty coupling"),
+        ('{"masses": [["1"]], "rows": "1"}', "rows='1' does not match matrix shape 1"),
+        ('{"masses": [["1/2", "1/2"]], "cols": [2]}', "cols=[2] does not match matrix shape 2"),
+    ],
+)
+def test_parse_coupling_classifies_malformed_files(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_coupling(text)
+
+
+def test_coupling_matrix_rejects_zero_width_rows():
+    with pytest.raises(ValueError, match="empty coupling"):
+        CouplingMatrix(((),))
+
+
+def ref_serialize_coupling(coupling) -> str:
+    payload = {
+        "rows": coupling.row_count,
+        "cols": coupling.col_count,
+        "masses": [[format_rational(m) for m in row] for row in coupling.masses],
+    }
+    return json.dumps(payload, indent=1) + "\n"
+
+
+@st.composite
+def coupling_matrices(draw):
+    """Nonnegative mass matrices of 1-6 rows and columns; zeros and repeated
+    masses are common, denominators up to 2^70."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    mass = st.builds(F, st.integers(0, 9), st.sampled_from([1, 2, 3, 36, 2**70 + 1]))
+    row = st.lists(mass, min_size=cols, max_size=cols).map(tuple)
+    return CouplingMatrix(tuple(draw(st.lists(row, min_size=rows, max_size=rows))))
+
+
+@given(coupling_matrices())
+@settings(max_examples=100, deadline=None)
+def test_serialize_coupling_matches_json_dumps(coupling):
+    text = serialize_coupling(coupling)
+    assert text == ref_serialize_coupling(coupling)
+    assert parse_coupling(text) == coupling
+
+
+@pytest.mark.parametrize("k", [1, 2, 9])
+def test_serialize_coupling_one_row_and_one_column(k):
+    one, many = constant(F(1, 3)), blowup(constant(F(1, 3)), k)
+    for h1, h2, shape in ((one, many, (1, k)), (many, one, (k, 1))):
+        coupling = build_coupling(h1, h2)
+        assert (coupling.row_count, coupling.col_count) == shape
+        assert serialize_coupling(coupling) == ref_serialize_coupling(coupling)
+
+
 def test_mixed_moment_transfer_between_reduced_forms():
     for name, h1, h2 in weakly_isomorphic_pairs():
         v = weak_iso(h1, h2)
@@ -497,3 +563,127 @@ def test_weak_iso_and_coupling_on_blowups_match_fraction_reference(pair):
         assert not miss.isomorphic
         assert render_verdict(miss) == expect
         assert build_coupling(a, b) is None
+
+
+@st.composite
+def twin_rich_graphons(draw):
+    """Permuted uneven blowups with zero-weight padding.
+
+    Each block of a random graphon splits into 1-3 copies of random shares
+    of its weight; padding blocks of weight zero copy a block's row on the
+    positive-weight columns. Every entry in a padding column is random, so
+    twins differ there. Some tables are then made negative by
+    affine_rescale, or declared over a wider range.
+    """
+    h = draw(step_graphons(max_blocks=4))
+    origin, weights = [], []
+    for b, w in enumerate(h.weights):
+        parts = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        origin += [b] * len(parts)
+        weights += [w * p / sum(parts) for p in parts]
+    live = len(origin)
+    origin += draw(st.lists(st.integers(0, h.block_count - 1), max_size=3))
+    weights += [F(0)] * (len(origin) - live)
+    n = len(origin)
+    values = [[h.values[origin[i]][origin[j]] for j in range(n)] for i in range(n)]
+    for j in range(live, n):
+        for i in range(j + 1):
+            values[i][j] = values[j][i] = F(draw(st.integers(0, 6)), 6)
+    perm = draw(st.permutations(range(n)))
+    weights = [weights[p] for p in perm]
+    values = [[values[p][q] for q in perm] for p in perm]
+    style = draw(st.sampled_from(["plain", "negative", "wide"]))
+    if style == "wide":
+        return step_graphon(weights, values, ("-1", "5/2"))
+    g = step_graphon(weights, values)
+    return affine_rescale(g, F(-3, 2), F(1, 4)) if style == "negative" else g
+
+
+def _relabel(h, order):
+    """h with its blocks listed in the given order."""
+    return step_graphon(
+        [h.weights[i] for i in order], [[h.values[i][j] for j in order] for i in order],
+        h.value_range,
+    )
+
+
+@given(twin_rich_graphons())
+@settings(max_examples=150, deadline=None)
+def test_first_member_reduction_matches_fraction_reference(H):
+    form, block_map = _twin_reduce_with_map(H)
+    weights, values, ref_map = ref_twin_reduce_with_map(H)
+    assert form.weights == tuple(weights)
+    assert form.values == tuple(map(tuple, values))
+    assert form.value_range == H.value_range
+    assert block_map == ref_map
+    assert twin_reduce(H) == form
+    # the averaging quotient by the twin partition is the same graphon; it
+    # lists classes by first appearance over all blocks, weightless ones too
+    partition = twin_partition(H)
+    live = sorted({partition.class_of[b] for b in block_map})
+    firsts = {}
+    for b, c in block_map.items():
+        firsts.setdefault(c, b)
+    order = [live.index(partition.class_of[firsts[c]]) for c in range(form.block_count)]
+    assert _relabel(quotient(H, partition), order) == form
+
+
+def test_first_member_reduction_examples():
+    # one positive block among weightless ones
+    single = step_graphon(
+        ["0", "1", "0"], [["1", "1/3", "0"], ["1/3", "1/2", "1"], ["0", "1", "0"]]
+    )
+    assert twin_reduce(single) == constant(F(1, 2))
+    assert _twin_reduce_with_map(single)[1] == {1: 0}
+    # one class of three twins
+    assert twin_reduce(blowup(constant(F(2, 5)), 3)) == constant(F(2, 5))
+
+
+def test_first_member_reduction_restores_lowest_terms():
+    # only the weightless block's entries 1/2 and 1/3 make the values' scale
+    # 6 coprime to the table; the reduced form is over 1
+    padded = step_graphon(
+        ["1/2", "1/2", "0"], [["0", "1", "1/2"], ["1", "0", "0"], ["1/2", "0", "1/3"]]
+    )
+    assert padded._q == 6
+    form = twin_reduce(padded)
+    assert (form._r, form._nw, form._q, form._table) == (2, (1, 1), 1, ((0, 1), (1, 0)))
+    # twins 0 and 1 differ only against weightless block 2; class weights
+    # 1/4 + 1/4 over r = 4 come out as 1/2 over r = 2
+    twins = step_graphon(
+        ["1/4", "1/4", "1/2", "0"],
+        [["1", "1", "0", "1/2"], ["1", "1", "0", "1/3"], ["0", "0", "1", "0"],
+         ["1/2", "1/3", "0", "1/5"]],
+    )
+    form = twin_reduce(twins)
+    assert (form._r, form._nw, form._q, form._table) == (2, (1, 1), 1, ((1, 0), (0, 1)))
+
+
+def test_reduction_path_builds_no_object_tables():
+    padded = step_graphon(
+        ["1/4", "1/4", "1/2", "0"],
+        [["1", "1", "0", "1/2"], ["1", "1", "0", "1/3"], ["0", "0", "1", "0"],
+         ["1/2", "1/3", "0", "1/5"]],
+    )
+    texts = [serialize_graphon(g) for g in (padded, blowup(padded, 3), B, HALF)]
+
+    def fresh():
+        return [parse_graphon(t) for t in texts]
+
+    def untouched(*graphons):
+        return all("integer_tables" not in g.__dict__ for g in graphons)
+
+    for h in fresh():
+        reduced = twin_reduce(h)
+        random_anchors(h, 5, 1)
+        assert untouched(h, reduced)
+    for i, j in ((0, 1), (1, 0), (2, 3), (0, 2)):
+        for op in (weak_iso, build_coupling):
+            graphons = fresh()
+            op(graphons[i], graphons[j])
+            assert untouched(*graphons), (op.__name__, i, j)
+        graphons = fresh()
+        cq = common_quotient(graphons[i], graphons[j])
+        assert untouched(*graphons) and (cq is None or untouched(cq[0]))
+    # the padded graphon and its blowup reach the coupling itself
+    assert build_coupling(*fresh()[:2]) is not None
