@@ -10,8 +10,9 @@ Twin classes, twin reduction, weak isomorphism and couplings read the tuple
 fields of StepGraphon: weights and values as Python ints over their least
 common denominators. Twins agree on every positive-weight column, so the
 reduced form keeps each class's first member, with the class's total weight,
-and averages nothing. Only quotient by an arbitrary partition averages, on
-StepGraphon.integer_tables. Fractions are built only for the results.
+and averages nothing. quotient, which averages over an arbitrary partition,
+and anchor_tags read StepGraphon.integer_tables. Fractions are built only for
+the results.
 """
 
 from __future__ import annotations
@@ -160,12 +161,11 @@ def twin_reduce(graphon: StepGraphon) -> StepGraphon:
 def _twin_reduce_with_map(graphon: StepGraphon) -> tuple[StepGraphon, dict[int, int]]:
     """Reduced form plus original positive-weight block -> reduced class.
 
-    Twins among the positive-weight blocks agree on every positive-weight
-    column, so each class's averaged value equals the value between the
-    first members of the two classes: the reduced table is the first
-    members' rows and columns over the same q, and a class weighs the sum
-    of its members' weights over the same r. StepGraphon restores lowest
-    terms. Class ids follow first appearance and index the reduced blocks.
+    Twins agree on every positive-weight column, so the weighted average
+    over a class pair is the value between the classes' first members: the
+    reduced table is their rows and columns over the same q, each class
+    weighs its members' sum over the same r, and StepGraphon restores
+    lowest terms. Class ids follow first appearance among kept blocks.
     """
     nw, table = graphon._nw, graphon._table
     kept = _positive_blocks(graphon)
@@ -250,10 +250,7 @@ def _row_profiles(weights: Sequence[int], values: Sequence[Sequence[int]]) -> li
 
 
 def _find_bijection(
-    w1: Sequence[int],
-    v1: Sequence[Sequence[int]],
-    w2: Sequence[int],
-    v2: Sequence[Sequence[int]],
+    w1: Sequence[int], v1: Sequence[Sequence[int]], w2: Sequence[int], v2: Sequence[Sequence[int]]
 ) -> tuple[int, ...] | None:
     """Backtracking over blocks ordered by (weight, row profile)."""
     n = len(w1)

@@ -637,6 +637,11 @@ def test_first_member_reduction_examples():
     assert _twin_reduce_with_map(single)[1] == {1: 0}
     # one class of three twins
     assert twin_reduce(blowup(constant(F(2, 5)), 3)) == constant(F(2, 5))
+    # quotient numbers classes by first appearance over all blocks, so a
+    # weightless twin listed first moves its class to the front
+    lead = step_graphon(["0", "1/3", "2/3"], [["0", "1", "0"], ["1", "0", "1"], ["0", "1", "0"]])
+    assert twin_reduce(lead).weights == (F(1, 3), F(2, 3))
+    assert quotient(lead, twin_partition(lead)) == _relabel(twin_reduce(lead), [1, 0])
 
 
 def test_first_member_reduction_restores_lowest_terms():
