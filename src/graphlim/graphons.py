@@ -13,15 +13,17 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, chain
-from typing import Any, Callable, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from .graphs import LabeledMultigraph
-from .rational import RationalLike, format_rational, parse_rational
+from .rational import RationalLike, format_rational, parse_rational, rational_parts
 
 DEFAULT_RANGE = (Fraction(0), Fraction(1))
 _PLAIN_TOKENS = frozenset({str, int, Fraction})
@@ -42,12 +44,12 @@ class StepGraphon:
     value_range: tuple[Fraction, Fraction] = DEFAULT_RANGE
 
     def __post_init__(self) -> None:
-        validate(self)
+        entries = validate(self)
         g = math.gcd(self._r, *self._nw)
         if g > 1:
             object.__setattr__(self, "_r", self._r // g)
             object.__setattr__(self, "_nw", tuple(x // g for x in self._nw))
-        g = math.gcd(self._q, *chain.from_iterable(self._table))
+        g = math.gcd(self._q, *entries)
         if g > 1:
             object.__setattr__(self, "_q", self._q // g)
             table = tuple(tuple(x // g for x in row) for row in self._table)
@@ -119,21 +121,38 @@ def step_graphon(
 ) -> StepGraphon:
     """Coerce loose rational data (ints, "p/q" strings) into a StepGraphon.
 
-    Each distinct token is parsed once, in order of first appearance, and
-    each cell filled with its token's int by lookup. Equal tokens share a
-    parse only if they are str, int or Fraction: a table holding another
-    type, such as a bool equal to 1, is first checked token by token.
+    Each distinct token is parsed once, in no particular order, to its
+    lowest-terms integer parts, and each row filled with its tokens' ints by
+    one lookup. An error still names the first bad cell in row-major order:
+    when a token fails, the cells are parsed again in that order. Equal
+    tokens share a parse only if they are str, int or Fraction: a bool or a
+    float can hide behind an equal int or Fraction, never behind a str, so a
+    table with a token that is not a str (or a cell that cannot be hashed)
+    is first checked cell by cell.
     """
 
     def scaled(rows: Sequence[Sequence[RationalLike]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        cells = list(chain.from_iterable(rows))
-        if not set(map(type, cells)) <= _PLAIN_TOKENS:
-            for x in cells:
-                parse_rational(x)
-        parsed = [(x, parse_rational(x)) for x in dict.fromkeys(cells)]
-        den = math.lcm(*(f.denominator for _, f in parsed))
-        ints = {x: f.numerator * (den // f.denominator) for x, f in parsed}
-        return den, tuple(tuple(map(ints.__getitem__, row)) for row in rows)
+        try:
+            tokens = set(chain.from_iterable(rows))
+        except TypeError:  # an unhashable cell, which the check below names
+            tokens = None
+        if tokens is None or not set(map(type, tokens)) <= {str}:
+            cells = list(chain.from_iterable(rows))
+            if not set(map(type, cells)) <= _PLAIN_TOKENS:
+                for x in cells:
+                    rational_parts(x)
+            if tokens is None:
+                tokens = set(cells)
+        try:
+            parts = [(x, rational_parts(x)) for x in tokens]
+        except ValueError:
+            parts = None
+        if parts is None:  # raise at the first bad cell in row-major order
+            for x in chain.from_iterable(rows):
+                rational_parts(x)
+        den = math.lcm(*(d for _, (_, d) in parts))
+        ints = {x: n * (den // d) for x, (n, d) in parts}
+        return den, tuple(_picker(row)(ints) for row in rows)
 
     r, (nw,) = scaled([weights])
     q, table = scaled(values)
@@ -144,12 +163,22 @@ def step_graphon(
     return StepGraphon(r, nw, q, table, rng)
 
 
-def validate(graphon: StepGraphon) -> None:
+def _picker(keys: Sequence[Any]) -> Callable[[Any], tuple]:
+    """Container -> its items at keys, always a tuple, in one C call for two
+    or more keys (itemgetter of one key returns the item itself, and of
+    none raises)."""
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    return lambda items: tuple(items[k] for k in keys)
+
+
+def validate(graphon: StepGraphon) -> set[int]:
     """Exact invariant check; raises ValueError with a distinct message per rule.
 
     Every rule is checked on the integer tables; only a failing symmetry or
     range check rescans the table, in row-major order, to name the first
-    offending entry.
+    offending entry. Returns the set of distinct entries of the integer
+    value table, whose min and max the range check reads.
     """
     r, nw, q, table = graphon._r, graphon._nw, graphon._q, graphon._table
     lo, hi = graphon.value_range
@@ -169,12 +198,14 @@ def validate(graphon: StepGraphon) -> None:
             (i, j) for i in range(b) for j in range(i + 1, b) if table[i][j] != table[j][i]
         )
         raise ValueError(f"values asymmetric at ({i},{j})")
-    if not (lo * q <= min(map(min, table)) and max(map(max, table)) <= hi * q):
+    entries = set(chain.from_iterable(table))
+    if not (lo * q <= min(entries) and max(entries) <= hi * q):
         for i in range(b):
             for j in range(b):
                 if not lo * q <= table[i][j] <= hi * q:
                     v = Fraction(table[i][j], q)
                     raise ValueError(f"value {v} at ({i},{j}) outside range [{lo}, {hi}]")
+    return entries
 
 
 def from_graph(graph: LabeledMultigraph) -> StepGraphon:
@@ -241,10 +272,17 @@ def evaluate(graphon: StepGraphon, x, y) -> Fraction:
     """Kernel value at real coordinates in [0,1); exact rational result.
 
     Floats convert exactly (they are dyadic rationals), so the block
-    convention has no rounding ambiguity.
+    convention has no rounding ambiguity; an infinite or NaN float or
+    Decimal is a coordinate outside [0, 1) like any other.
     """
-    i, j = block_of(graphon, Fraction(x)), block_of(graphon, Fraction(y))
+    i, j = block_of(graphon, _coordinate(x)), block_of(graphon, _coordinate(y))
     return Fraction(graphon._table[i][j], graphon._q)
+
+
+def _coordinate(x) -> Fraction:
+    if isinstance(x, (float, Decimal)) and not math.isfinite(x):
+        raise ValueError(f"coordinate {x} outside [0, 1)")
+    return Fraction(x)
 
 
 def _identity(x):
@@ -347,26 +385,31 @@ def parse_graphon(text: str) -> StepGraphon:
     return step_graphon(weights, values, rng)
 
 
-def _json_array(items: list[str], depth: int) -> str:
+def _json_array(items: Sequence[str], depth: int) -> str:
     """JSON array of already encoded items, laid out as json.dumps(indent=1)
     lays out an array `depth` levels down."""
     inner = "\n" + " " * (depth + 1)
     return "[" + inner + ("," + inner).join(items) + "\n" + " " * depth + "]"
 
 
+def _encoded(xs: Iterable[int], den: int) -> dict[int, str]:
+    """x -> the JSON string of x / den in lowest terms, once per distinct x."""
+    return {x: json.dumps(format_rational(Fraction(x, den))) for x in set(xs)}
+
+
 def serialize_graphon(graphon: StepGraphon) -> str:
     """Inverse of parse_graphon; emits the lower triangle mirrored, lowest terms.
 
     The text is json.dumps(indent=1) of the weights, values and, unless it is
-    the default, the range, written in one join: each distinct value is
-    encoded once, from the symmetric integer table.
+    the default, the range, written in one join: each distinct weight and
+    each distinct value is encoded once, from the integer weights and the
+    symmetric integer table, and each row written by one lookup.
     """
-    rows, q = graphon._table, graphon._q
-    token = {x: json.dumps(format_rational(Fraction(x, q))) for x in set().union(*rows)}
-    rows_text = [_json_array(list(map(token.__getitem__, row)), 2) for row in rows]
+    rows, nw = graphon._table, graphon._nw
+    token = _encoded(chain.from_iterable(rows), graphon._q)
     fields = {
-        "weights": _json_array([json.dumps(format_rational(w)) for w in graphon.weights], 1),
-        "values": _json_array(rows_text, 1),
+        "weights": _json_array(_picker(nw)(_encoded(nw, graphon._r)), 1),
+        "values": _json_array([_json_array(_picker(row)(token), 2) for row in rows], 1),
     }
     if graphon.value_range != DEFAULT_RANGE:
         ends = [json.dumps(format_rational(x)) for x in graphon.value_range]

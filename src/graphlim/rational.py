@@ -2,12 +2,34 @@
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
 RationalLike = Fraction | int | str
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+
+
+def rational_parts(value: RationalLike) -> tuple[int, int]:
+    """(numerator, denominator) of parse_rational(value) in lowest terms,
+    the denominator positive, without building a Fraction; the same
+    errors for the same values."""
+    if isinstance(value, str):
+        match = _RATIONAL_RE.match(value.strip())
+        if not match:
+            raise ValueError(f"not a rational string: {value!r}")
+        numerator, denominator = match.groups()
+        n, d = int(numerator), int(denominator or 1)
+        if not d:
+            raise ValueError(f"zero denominator: {value!r}")
+        g = math.gcd(n, d)
+        return n // g, d // g
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value, 1
+    raise ValueError(f"not a rational value: {value!r}")
 
 
 def parse_rational(value: RationalLike) -> Fraction:
@@ -17,18 +39,7 @@ def parse_rational(value: RationalLike) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
-        match = _RATIONAL_RE.match(value.strip())
-        if not match:
-            raise ValueError(f"not a rational string: {value!r}")
-        numerator, denominator = match.groups()
-        try:
-            return Fraction(int(numerator), int(denominator or 1))
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator: {value!r}") from None
-    raise ValueError(f"not a rational value: {value!r}")
+    return Fraction(*rational_parts(value))
 
 
 def format_rational(value: Fraction) -> str:

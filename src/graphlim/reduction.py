@@ -22,13 +22,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .density import density_exact
-from .graphons import StepGraphon, _json_array
+from .graphons import StepGraphon, _json_array, _picker
 from .graphs import LabeledMultigraph, enumerate_simple_graphs
 from .rational import format_rational, parse_rational
 from .streams import DOMAIN_ANCHORS, draw_blocks, philox_stream, weight_thresholds
@@ -91,15 +90,6 @@ def parse_partition(text: str, block_count: int) -> BlockPartition:
         missing = sorted(set(range(block_count)) - set(class_of))
         raise ValueError(f"blocks {missing} missing from partition")
     return BlockPartition(tuple(class_of[b] for b in range(block_count)))
-
-
-def _picker(cols: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """Row -> its entries at cols, always a tuple (itemgetter of one column
-    returns the entry itself)."""
-    if len(cols) == 1:
-        (c,) = cols
-        return lambda row: (row[c],)
-    return itemgetter(*cols)
 
 
 def _positive_blocks(graphon: StepGraphon) -> list[int]:
@@ -165,7 +155,9 @@ def _twin_reduce_with_map(graphon: StepGraphon) -> tuple[StepGraphon, dict[int, 
     over a class pair is the value between the classes' first members: the
     reduced table is their rows and columns over the same q, each class
     weighs its members' sum over the same r, and StepGraphon restores
-    lowest terms. Class ids follow first appearance among kept blocks.
+    lowest terms. Class ids follow first appearance among kept blocks. A
+    twin-free graphon with no weightless block is its own reduced form and
+    is returned as it is.
     """
     nw, table = graphon._nw, graphon._table
     kept = _positive_blocks(graphon)
@@ -182,6 +174,8 @@ def _twin_reduce_with_map(graphon: StepGraphon) -> tuple[StepGraphon, dict[int, 
         else:
             weights[c] += nw[b]
         block_map[b] = c
+    if len(firsts) == len(nw):
+        return graphon, block_map
     first = _picker(firsts)
     reduced = tuple(first(table[b]) for b in firsts)
     form = StepGraphon(graphon._r, tuple(weights), graphon._q, reduced, graphon.value_range)

@@ -6,6 +6,7 @@ at desk scale, which is the point. The law of the sampling experiment
 is simulated from its closed form, likewise without package code.
 """
 
+import json
 import math
 from fractions import Fraction
 from itertools import product as iproduct
@@ -74,6 +75,21 @@ def brute_mixed_moment(
             term *= graphon.values[x][a] ** k
         total += term
     return total
+
+
+def ref_parse_graphon(text: str):
+    """(r, nw, q, table, value_range) of a valid graphon file, read by json
+    and Fraction's own string parser: weights nw[i] / r and values
+    table[i][j] / q over their least common denominators."""
+    data = json.loads(text)
+    weights = [Fraction(w) for w in data["weights"]]
+    values = [[Fraction(v) for v in row] for row in data["values"]]
+    r = math.lcm(*(w.denominator for w in weights))
+    q = math.lcm(*(v.denominator for row in values for v in row))
+    lo, hi = (Fraction(x) for x in data.get("range", (0, 1)))
+    nw = tuple(int(w * r) for w in weights)
+    table = tuple(tuple(int(v * q) for v in row) for row in values)
+    return r, nw, q, table, (lo, hi)
 
 
 def brute_blowup(

@@ -1,5 +1,8 @@
+import itertools
 import json
 import math
+import re
+from decimal import Decimal
 from fractions import Fraction as F
 
 import numpy as np
@@ -26,7 +29,7 @@ from graphlim import (
 from graphlim.corpus import complete_graph, graphon_corpus
 
 from conftest import step_graphons
-from oracles import brute_blowup
+from oracles import brute_blowup, ref_parse_graphon
 
 B = step_graphon(["1/2", "1/2"], [["0", "1"], ["1", "0"]])
 
@@ -321,3 +324,94 @@ def test_parse_graphon_rejects_rows_that_are_not_arrays():
     for values in ('["01", "10"]', '[["0", "1"], "10"]', "[1, 2]"):
         with pytest.raises(ValueError, match='"values" must be an array of arrays'):
             parse_graphon(f'{{"weights": ["1/2", "1/2"], "values": {values}}}')
+
+
+def _file_token(token, draw):
+    """A token as a graphon file may hold it: Fractions written as strings,
+    strings sometimes padded with tabs and spaces."""
+    if isinstance(token, F):
+        token = str(token)
+    if isinstance(token, str) and draw(st.booleans()):
+        pad = st.sampled_from(["", " ", "\t", " \t "])
+        token = draw(pad) + token + draw(pad)
+    return token
+
+
+@st.composite
+def _graphon_texts(draw):
+    *_, (w_tokens, v_tokens, r_tokens) = draw(_spelled_graphons())
+    data = {
+        "weights": [_file_token(w, draw) for w in w_tokens],
+        "values": [[_file_token(v, draw) for v in row] for row in v_tokens],
+    }
+    if r_tokens is not None:
+        data["range"] = [_file_token(x, draw) for x in r_tokens]
+    return json.dumps(data)
+
+
+@given(_graphon_texts())
+@example('{"weights": [" +1/2", "2/4\\t"], "values": [["-0", "1/2"], [" +2/4 ", 1]]}')
+@example('{"weights": [1], "values": [["-3/6"]], "range": ["-1", " +1 "]}')
+@example('{"weights": ["1/3", 0, "+2/3"], "values": [[0, "0/9", 1], ["-0", 1, "1"], [1, 1, "4/4"]]}')
+@settings(max_examples=200, deadline=None)
+def test_parse_graphon_matches_json_fraction_oracle(text):
+    h = parse_graphon(text)
+    assert (h._r, h._nw, h._q, h._table, h.value_range) == ref_parse_graphon(text)
+
+
+_BAD_TOKENS = {
+    "x": "not a rational string: 'x'",
+    "1/2/3": "not a rational string: '1/2/3'",
+    "1/0": "zero denominator: '1/0'",
+    " -3/0": "zero denominator: ' -3/0'",
+}
+
+
+@pytest.mark.parametrize("first, second", [("x", "1/0"), ("1/0", "x"), ("1/2/3", "x"), (" -3/0", "1/0")])
+def test_step_graphon_names_the_first_bad_cell_in_row_major_order(first, second):
+    # distinct tokens are parsed in set order, which differs from run to run;
+    # the error must not
+    third = ["1/3"] * 3
+    for p, s in itertools.permutations(range(9), 2):
+        cells = ["1/3", "0", "2/3"] * 3
+        cells[p], cells[s] = first, second
+        rows = [cells[:3], cells[3:6], cells[6:]]
+        named = first if p < s else second
+        message = "^" + re.escape(_BAD_TOKENS[named]) + "$"
+        with pytest.raises(ValueError, match=message):
+            step_graphon(third, rows)
+        with pytest.raises(ValueError, match=message):
+            parse_graphon(json.dumps({"weights": third, "values": rows}))
+    # weights are read before values
+    with pytest.raises(ValueError, match="^" + re.escape(_BAD_TOKENS[second]) + "$"):
+        step_graphon(["1/3", second, "1/3"], [[first] * 3] * 3)
+
+
+@given(
+    step_graphons(max_blocks=6),
+    st.sampled_from([None, (3, -1), (F(1, 2), F(1, 3)), (-1, 1)]),
+)
+@example(constant(F(2, 3)), None)
+@example(constant(F(2, 3)), (F(1, 2), F(1, 3)))
+@settings(max_examples=150, deadline=None)
+def test_serialize_graphon_matches_json_dumps_and_validate_returns_the_entries(h, rescale):
+    if rescale is not None:
+        h = affine_rescale(h, *rescale)
+    data = {
+        "weights": [str(w) for w in h.weights],
+        "values": [[str(v) for v in row] for row in h.values],
+    }
+    if h.value_range != (0, 1):
+        data["range"] = [str(x) for x in h.value_range]
+    assert serialize_graphon(h) == json.dumps(data, indent=1) + "\n"
+    assert validate(h) == {x for row in h._table for x in row}
+
+
+@pytest.mark.parametrize(
+    "bad", [math.inf, -math.inf, math.nan, Decimal("Infinity"), Decimal("-Infinity"), Decimal("NaN")]
+)
+def test_evaluate_classifies_non_finite_coordinates(bad):
+    message = "^" + re.escape(f"coordinate {bad} outside [0, 1)") + "$"
+    for x, y in ((bad, 0.5), (0.5, bad), (bad, bad)):
+        with pytest.raises(ValueError, match=message):
+            evaluate(B, x, y)

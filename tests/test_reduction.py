@@ -692,3 +692,25 @@ def test_reduction_path_builds_no_object_tables():
         assert untouched(*graphons) and (cq is None or untouched(cq[0]))
     # the padded graphon and its blowup reach the coupling itself
     assert build_coupling(*fresh()[:2]) is not None
+
+
+@given(st.one_of(step_graphons(max_blocks=6), twin_rich_graphons()))
+@settings(max_examples=150, deadline=None)
+def test_twin_free_reduction_returns_its_input(H):
+    form, block_map = _twin_reduce_with_map(H)
+    weights, values, ref_map = ref_twin_reduce_with_map(H)
+    assert form.weights == tuple(weights) and form.values == tuple(map(tuple, values))
+    assert block_map == ref_map
+    # no weightless block and no twins: the reduced form is the graphon itself
+    twin_free = len(weights) == H.block_count
+    assert (form is H) == twin_free
+    assert (twin_reduce(H) is H) == twin_free
+
+
+def test_twin_free_reduction_examples():
+    assert twin_reduce(B) is B and twin_reduce(HALF) is HALF
+    assert _twin_reduce_with_map(B) == (B, {0: 0, 1: 1})
+    doubled = blowup(B, 2)
+    assert twin_reduce(doubled) is not doubled and twin_reduce(doubled) == B
+    padded = step_graphon(["1/2", "1/2", "0"], [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "0"]])
+    assert twin_reduce(padded) is not padded and twin_reduce(padded) == B
